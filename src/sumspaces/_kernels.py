@@ -1,21 +1,30 @@
-"""Hot numeric kernels with optional numba JIT.
+"""Hot numeric kernels of the projection iteration.
 
 Both kernels walk the power chain of a fixed factor by successive
 multiplication; no binary powering, so the floating-point sequence is the
 one the plain iteration would produce.
 
-The jitted and pure-numpy paths are compiled from the same source.  The
-numpy path is selected when numba is unavailable or when the environment
-variable ``SUMSPACES_NO_NUMBA`` is set to a non-empty value other than
-``0``.  ``benchmarks/bench_kernels.py`` times the two paths side by side.
+``error_series`` reads the spectral norm of each step's deviation from
+its eigenvalues instead of a full SVD.  For the iteration the factor
+``m = I - A`` and the target projection are symmetric, so every deviation
+``(I - target) - m^N`` is symmetric up to roundoff and its spectral norm
+is its largest eigenvalue magnitude.  The kernel takes the eigenvalues of
+the symmetric part and guards the swap: the spectral norm is 1-Lipschitz
+in the operator norm, so the reading differs from sigma_max of the raw
+deviation by at most the norm of its skew part, which the Frobenius norm
+bounds.  When that norm exceeds ``SKEW_TOL`` the reading is not certified
+and ``NumericalError`` is raised.
 """
-
-import os
 
 import numpy as np
 
+from .errors import NumericalError
 
-def _power_chain(m, n_steps):
+# Largest Frobenius norm of a step's skew part accepted by error_series.
+SKEW_TOL = 1e-10
+
+
+def power_chain(m, n_steps):
     # m^n_steps by n_steps-1 successive multiplications
     b = m.copy()
     for _ in range(n_steps - 1):
@@ -23,8 +32,12 @@ def _power_chain(m, n_steps):
     return b
 
 
-def _error_series(m, target, n_steps):
-    # errors[i] = sigma_max((I - m^(i+1)) - target) for i = 0..n_steps-1.
+def error_series(m, target, n_steps):
+    """errors[i] = sigma_max((I - m^(i+1)) - target) for i = 0..n_steps-1.
+
+    ``m`` and ``target`` must be symmetric; a step whose deviation has a
+    skew part above ``SKEW_TOL`` (Frobenius norm) raises NumericalError.
+    """
     # Subtracting b from the precomputed I - target keeps the tiny entries
     # of b alive when target is (near) the identity.
     d = m.shape[0]
@@ -35,30 +48,12 @@ def _error_series(m, target, n_steps):
         if i > 0:
             b = b @ m
         diff = base - b
-        u, s, vt = np.linalg.svd(diff)
-        errors[i] = s[0]
+        skew = np.linalg.norm((diff - diff.T) / 2.0)
+        if not skew <= SKEW_TOL:
+            raise NumericalError(
+                f"deviation at step {i + 1} has skew part {skew:.3g} > "
+                f"{SKEW_TOL:g}; its eigenvalues do not give its norm"
+            )
+        w = np.linalg.eigvalsh((diff + diff.T) / 2.0)
+        errors[i] = max(-w[0], w[-1])
     return errors
-
-
-power_chain_numpy = _power_chain
-error_series_numpy = _error_series
-
-_disabled = os.environ.get("SUMSPACES_NO_NUMBA", "").strip() not in ("", "0")
-
-NUMBA_ENABLED = False
-if not _disabled:
-    try:
-        from numba import njit
-
-        power_chain_jit = njit(cache=True)(_power_chain)
-        error_series_jit = njit(cache=True)(_error_series)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if NUMBA_ENABLED:
-    power_chain = power_chain_jit
-    error_series = error_series_jit
-else:
-    power_chain = power_chain_numpy
-    error_series = error_series_numpy

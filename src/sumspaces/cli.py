@@ -108,6 +108,9 @@ def _cmd_project(args) -> int:
     except CriterionNotSatisfied:
         io.write_report(args.report, doc, stream=sys.stdout)
         return EXIT_BOUNDARY if criterion.boundary else EXIT_NOT_SATISFIED
+    except SumspacesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     doc |= io.convergence_section(convergence)
     io.write_report(args.report, doc, stream=sys.stdout)
     if args.csv:

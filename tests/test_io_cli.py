@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_subspace
-from sumspaces import SubspaceFamily, build_e_matrix, io, spectral_radius
+from sumspaces import SubspaceFamily, _kernels, build_e_matrix, io, spectral_radius
 from sumspaces.cli import main
+from sumspaces.errors import InconsistencyError, NumericalError
 
 
 def write_family_file(path, vectors_by_name, ambient_dim):
@@ -231,6 +232,22 @@ class TestProjectCommand:
     def test_bad_n_max_exit(self, tmp_path):
         path = orthogonal_lines_file(tmp_path)
         assert main(["project", str(path), "--n-max", "0"]) == 1
+
+    @pytest.mark.parametrize("error", [NumericalError, InconsistencyError])
+    def test_iteration_error_exits_one_with_one_line(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def failing_series(m, target, n_steps):
+            raise error("deviation is not symmetric")
+
+        monkeypatch.setattr(_kernels, "error_series", failing_series)
+        path = sixty_degree_file(tmp_path)
+        report = tmp_path / "report.json"
+        assert main(["project", str(path), "--n-max", "5", "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: deviation is not symmetric\n"
+        assert not report.exists()
 
 
 class TestCounterexampleCommand:

@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from sumspaces import _kernels
+from sumspaces.errors import NumericalError
 
 
 def random_contraction(rng, d, r=0.8):
@@ -36,43 +33,41 @@ def test_error_series_matches_eigendecomposition_oracle():
     np.testing.assert_allclose(errors, expected, rtol=1e-10)
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path not active")
-def test_jit_and_numpy_paths_agree():
-    rng = np.random.default_rng(2)
-    m = random_contraction(rng, 16)
-    target = random_contraction(rng, 16, r=0.3)
-    np.testing.assert_allclose(
-        _kernels.power_chain_jit(m, 9), _kernels.power_chain_numpy(m, 9), rtol=1e-13
-    )
-    np.testing.assert_allclose(
-        _kernels.error_series_jit(m, target, 12),
-        _kernels.error_series_numpy(m, target, 12),
-        rtol=1e-12,
-    )
+def test_error_series_matches_spectral_norm_oracle():
+    # The iteration's setting: m = I - A is the identity off the range of
+    # the target projection and a contraction on it.  The most negative
+    # eigenvalue of m has the largest magnitude, so on even steps the
+    # deviation's norm is its most negative eigenvalue.
+    rng = np.random.default_rng(3)
+    d, k = 12, 7
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    spectrum = np.concatenate([[-0.6, 0.5], rng.uniform(-0.4, 0.4, k - 2), np.ones(d - k)])
+    m = (q * spectrum) @ q.T
+    m = np.ascontiguousarray((m + m.T) / 2.0)
+    target = q[:, :k] @ q[:, :k].T
+    target = np.ascontiguousarray((target + target.T) / 2.0)
+    n_steps = 90  # 0.6^90 is far below the roundoff floor
+
+    errors = _kernels.error_series(m, target, n_steps)
+
+    base = np.eye(d) - target
+    deviations = [base - np.linalg.matrix_power(m, n) for n in range(1, n_steps + 1)]
+    expected = [np.linalg.norm(dev, 2) for dev in deviations]
+    np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
+    assert errors[-1] < 1e-13
+    # both sides of the spectrum decide some steps
+    extremes = [np.linalg.eigvalsh(dev)[[0, -1]] for dev in deviations[:20]]
+    negative_wins = [-lo > hi for lo, hi in extremes]
+    assert any(negative_wins) and not all(negative_wins)
 
 
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import sumspaces._kernels as k; "
-        "print(k.NUMBA_ENABLED, k.power_chain is k.power_chain_numpy)"
-    )
-    env = os.environ | {"SUMSPACES_NO_NUMBA": "1"}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+def test_error_series_exact_small_case():
+    m = np.array([[0.0, 0.5], [0.5, 0.0]])
+    errors = _kernels.error_series(m, np.eye(2), 3)
+    assert errors[-1] == pytest.approx(0.125, abs=1e-15)
 
 
-def test_disabled_path_still_computes():
-    code = (
-        "import numpy as np, sumspaces._kernels as k; "
-        "m = np.array([[0.0, 0.5], [0.5, 0.0]]); "
-        "print(repr(float(k.error_series(m, np.eye(2), 3)[-1])))"
-    )
-    env = os.environ | {"SUMSPACES_NO_NUMBA": "1"}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert float(out.stdout) == pytest.approx(0.125, abs=1e-15)
+def test_skew_guard_rejects_nonsymmetric_factor():
+    m = np.array([[0.0, 0.5], [0.0, 0.0]])
+    with pytest.raises(NumericalError, match="skew part"):
+        _kernels.error_series(m, np.eye(2), 3)
