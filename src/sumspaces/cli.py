@@ -23,7 +23,7 @@ from .counterexamples import (
     geometric_alphas,
     verify_counterexample,
 )
-from .criterion import build_e_matrix, evaluate_criterion, spectral_radius
+from .criterion import build_e_matrix, evaluate_criterion
 from .errors import CriterionNotSatisfied, SumspacesError, VerificationFailed
 
 EXIT_OK = 0
@@ -91,26 +91,23 @@ def _cmd_project(args) -> int:
 
     try:
         family, _ = io.load_family(args.family)
-        criterion = evaluate_criterion(build_e_matrix(family))
+        if args.n_max < 1:
+            raise ValueError("--n-max must be at least 1")
+        convergence = convergence_report(family, args.n_max)
+        criterion = convergence.criterion
+    except CriterionNotSatisfied as exc:
+        convergence, criterion = None, exc.report
     except (SumspacesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.n_max < 1:
-        print("error: --n-max must be at least 1", file=sys.stderr)
         return EXIT_INPUT
 
     doc = {
         "criterion": io.criterion_section(criterion),
         "metadata": io.report_metadata(args.family),
     }
-    try:
-        convergence = convergence_report(family, args.n_max)
-    except CriterionNotSatisfied:
+    if convergence is None:
         io.write_report(args.report, doc, stream=sys.stdout)
         return EXIT_BOUNDARY if criterion.boundary else EXIT_NOT_SATISFIED
-    except SumspacesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     doc |= io.convergence_section(convergence)
     io.write_report(args.report, doc, stream=sys.stdout)
     if args.csv:
@@ -137,7 +134,6 @@ def _cmd_counterexample(args) -> int:
         if args.blocks < 1:
             raise ValueError("--blocks must be at least 1")
         alphas = _parse_alphas(args.alpha_schedule, args.blocks)
-        r = spectral_radius(e)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             spec = CounterexampleSpec(e, alphas)
@@ -159,7 +155,7 @@ def _cmd_counterexample(args) -> int:
     if args.verify:
         doc = {
             "verification": io.verification_section(record),
-            "spectral_radius_input": r,
+            "spectral_radius_input": spec.input_radius,
             "alphas": list(spec.alphas),
             "metadata": io.report_metadata(args.ematrix),
         }

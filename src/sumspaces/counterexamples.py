@@ -12,13 +12,13 @@ is the finite witness that the limiting family's sum fails to be closed.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import EMatrix, spectral_radius
+from .criterion import EMatrix, build_e_matrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
-from .subspaces import Subspace, SubspaceFamily, _frozen_array, restricted_norm, sum_operator
+from .subspaces import Subspace, SubspaceFamily, _frozen_array, sum_operator
 
 # |r(E) - 1| accepted as "boundary" for the construction.
 BOUNDARY_TOL = 1e-9
@@ -33,11 +33,13 @@ class CounterexampleSpec:
     A matrix with spectral radius above 1 (beyond tolerance) is rescaled
     by 1/r on construction, with a warning; one with radius below 1 is
     rejected, since then the criterion holds and no counterexample exists.
+    ``input_radius`` is the spectral radius of the matrix as given, before
+    any rescaling.
     """
 
     e: EMatrix
     alphas: tuple
-    K: int = 0
+    input_radius: float = field(init=False)
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -47,10 +49,9 @@ class CounterexampleSpec:
             raise ValueError("all alphas must lie strictly between 0 and 1")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("alphas must be strictly increasing")
-        if self.K and self.K != len(alphas):
-            raise ValueError(f"K={self.K} but {len(alphas)} alphas given")
 
         r = spectral_radius(self.e)
+        object.__setattr__(self, "input_radius", r)
         e = self.e
         if r > 1.0 + BOUNDARY_TOL:
             warnings.warn(
@@ -66,7 +67,11 @@ class CounterexampleSpec:
             )
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "K", len(alphas))
+
+    @property
+    def K(self):
+        """Number of blocks."""
+        return len(self.alphas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +131,10 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     Sign convention: the first coordinate of magnitude above 1e-12 is
     positive.
     """
-    r = spectral_radius(e)
+    w, v = np.linalg.eigh(e.entries)
+    r = float(w[-1])
     if abs(r - 1.0) > BOUNDARY_TOL:
         raise NotBoundary(f"spectral radius {r:.12g} is not 1 within tolerance")
-    w, v = np.linalg.eigh(e.entries)
     c = v[:, -1]
     for x in c:
         if abs(x) > 1e-12:
@@ -205,18 +210,21 @@ def verify_counterexample(
     e = spec.e
     n = e.n
     alpha_max = spec.alphas[-1]
-    failures = []
 
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            measured = restricted_norm(cf.family.members[i], cf.family.members[j])
-            target = alpha_max * e.entries[i, j]
-            pairs.append(PairNorm(i=i, j=j, measured=measured, target=target))
-            if abs(measured - target) > 1e-9:
-                failures.append(
-                    f"pair ({i},{j}): measured cosine {measured} vs target {target}"
-                )
+    rows, cols = np.triu_indices(n, 1)
+    measured = build_e_matrix(cf.family).entries[rows, cols]
+    target = alpha_max * e.entries[rows, cols]
+    pairs = [
+        PairNorm(i=i, j=j, measured=m, target=t)
+        for i, j, m, t in zip(
+            rows.tolist(), cols.tolist(), measured.tolist(), target.tolist()
+        )
+    ]
+    failures = [
+        f"pair ({p.i},{p.j}): measured cosine {p.measured} vs target {p.target}"
+        for p in pairs
+        if abs(p.measured - p.target) > 1e-9
+    ]
 
     combo_residuals = []
     for k, (alpha, v) in enumerate(zip(spec.alphas, cf.block_vectors)):

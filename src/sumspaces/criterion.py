@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NumericalError, WrongArity
-from .subspaces import SubspaceFamily, _frozen_array, restricted_norm
+from .subspaces import SubspaceFamily, _checked_cosines, _frozen_array
 
 # |r(E) - 1| at or below this counts as the boundary: the criterion is
 # reported unsatisfied and the equivalence cross-check is suspended.
@@ -37,6 +37,8 @@ class EMatrix:
             raise ValueError(f"entries must be square, got {entries.shape}")
         if self.n != entries.shape[0] or self.n < 1:
             raise ValueError(f"n={self.n} does not match shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite")
         if np.abs(np.diag(entries)).max() > _ENTRY_TOL:
             raise ValueError("diagonal entries must be zero")
         if np.abs(entries - entries.T).max() > _ENTRY_TOL:
@@ -70,15 +72,26 @@ class CriterionReport:
 
 
 def build_e_matrix(f: SubspaceFamily) -> EMatrix:
-    """Measure the optimal pairwise angle cosines of a family."""
+    """Measure the optimal pairwise angle cosines of a family.
+
+    Every cosine is the top singular value of a cross-Gram block
+    basis_i' * basis_j, and all blocks are parts of one Gram matrix of
+    the concatenated bases.  Members are zero-padded to the largest
+    member dimension k (zero columns leave a block's top singular value
+    unchanged), the Gram matrix is formed by one product, and the
+    upper-triangle blocks go through one batched SVD.
+    """
     n = f.n
+    k = max(m.dim for m in f.members)
+    padded = np.zeros((f.ambient_dim, n * k))
+    for i, m in enumerate(f.members):
+        padded[:, i * k:i * k + m.dim] = m.basis
+    blocks = (padded.T @ padded).reshape(n, k, n, k).swapaxes(1, 2)
+    rows, cols = np.triu_indices(n, 1)
+    sigma = np.linalg.svd(blocks[rows, cols], compute_uv=False)[:, 0]
     entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = restricted_norm(f.members[i], f.members[j])
-            entries[i, j] = v
-            entries[j, i] = v
-    return EMatrix(n, entries)
+    entries[rows, cols] = _checked_cosines(sigma)
+    return EMatrix(n, entries + entries.T)
 
 
 def e_matrix_with_bounds(f: SubspaceFamily, bounds) -> EMatrix:

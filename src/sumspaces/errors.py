@@ -30,7 +30,11 @@ class InconsistencyError(SumspacesError, ArithmeticError):
 
 class CriterionNotSatisfied(SumspacesError, RuntimeError):
     """Raised when a certified convergence bound is requested but the
-    spectral criterion does not hold."""
+    spectral criterion does not hold.  Carries the criterion report."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NotBoundary(SumspacesError, ValueError):

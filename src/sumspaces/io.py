@@ -45,6 +45,8 @@ def load_family(path):
 
     members, names = [], []
     for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"subspace entry {idx} must be a JSON object")
         name = str(entry.get("name", f"X{idx + 1}"))
         vectors = entry.get("vectors")
         if not isinstance(vectors, list) or not vectors:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .criterion import build_e_matrix, evaluate_criterion, spectral_radius
+from .criterion import CriterionReport, build_e_matrix, evaluate_criterion, spectral_radius
 from .errors import CriterionNotSatisfied, InconsistencyError
 from .subspaces import (
-    Subspace,
     SubspaceFamily,
     orthonormalize,
     projection_matrix,
@@ -40,19 +39,25 @@ class ConvergenceStep:
 class ConvergenceReport:
     """Measured iteration errors against the certified geometric bound.
 
-    ``steps[i]`` holds the operator-norm distance of the N=i+1 iterate
-    from the reference projection together with the bound r^N.
+    ``criterion`` is the report of the spectral test that certified the
+    bound; ``r`` is its spectral radius.  ``steps[i]`` holds the
+    operator-norm distance of the N=i+1 iterate from the reference
+    projection together with the bound r^N.
     ``frame_lower``/``frame_upper`` are the extreme squared singular
     values of the concatenated-basis operator; they lie in
     [1-r, 1+r] up to roundoff.  ``a_restricted_deviation`` is the norm of
     A - I compressed to the sum, which is at most r.
     """
 
-    r: float
+    criterion: CriterionReport
     steps: tuple
     frame_lower: float
     frame_upper: float
     a_restricted_deviation: float
+
+    @property
+    def r(self):
+        return self.criterion.spectral_radius
 
 
 def sum_of_projections(f: SubspaceFamily) -> np.ndarray:
@@ -63,8 +68,14 @@ def sum_of_projections(f: SubspaceFamily) -> np.ndarray:
     return a
 
 
-def _oracle_subspace(f: SubspaceFamily) -> Subspace:
-    return orthonormalize(sum_operator(f))
+def _oracle(f: SubspaceFamily):
+    """(orthonormal basis of the sum, projection onto the sum)."""
+    q = orthonormalize(sum_operator(f)).basis
+    d = f.ambient_dim
+    if q.shape[1] == d:
+        return q, np.eye(d)
+    p = q @ q.T
+    return q, (p + p.T) / 2.0
 
 
 def oracle_projection(f: SubspaceFamily) -> np.ndarray:
@@ -74,12 +85,7 @@ def oracle_projection(f: SubspaceFamily) -> np.ndarray:
     independently of the iteration.  When the sum is the whole ambient
     space the exact identity is returned.
     """
-    q = _oracle_subspace(f).basis
-    d = f.ambient_dim
-    if q.shape[1] == d:
-        return np.eye(d)
-    p = q @ q.T
-    return (p + p.T) / 2.0
+    return _oracle(f)[1]
 
 
 def iterate_projection(f: SubspaceFamily, n_steps: int) -> np.ndarray:
@@ -99,8 +105,9 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     """Track iteration errors for N = 1..n_max with the certified bound.
 
     Requires the spectral criterion to hold; otherwise the geometric bound
-    is not certified and CriterionNotSatisfied is raised (the plain
-    iterate remains available via iterate_projection).
+    is not certified and CriterionNotSatisfied, carrying the criterion
+    report, is raised (the plain iterate remains available via
+    iterate_projection).
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -108,19 +115,14 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     if not report.satisfied:
         raise CriterionNotSatisfied(
             f"spectral radius {report.spectral_radius} is not below 1; "
-            "no certified bound"
+            "no certified bound",
+            report=report,
         )
     r = report.spectral_radius
 
     d = f.ambient_dim
     a = sum_of_projections(f)
-    oracle = _oracle_subspace(f)
-    q = oracle.basis
-    if q.shape[1] == d:
-        target = np.eye(d)
-    else:
-        p = q @ q.T
-        target = (p + p.T) / 2.0
+    q, target = _oracle(f)
 
     m_fac = np.ascontiguousarray(np.eye(d) - a)
     errors = _kernels.error_series(m_fac, np.ascontiguousarray(target), n_max)
@@ -134,7 +136,7 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     a_dev = float(np.linalg.svd(compressed, compute_uv=False)[0])
 
     return ConvergenceReport(
-        r=r,
+        criterion=report,
         steps=steps,
         frame_lower=float(svals[-1] ** 2),
         frame_upper=float(svals[0] ** 2),

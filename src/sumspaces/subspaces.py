@@ -138,12 +138,20 @@ def restricted_norm(m: Subspace, n: Subspace) -> float:
             f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
         )
     cross = m.basis.T @ n.basis
-    sigma = float(np.linalg.svd(cross, compute_uv=False)[0])
-    if sigma > 1.0 + NORM_EXCESS_TOL:
-        raise NumericalError(
-            f"restricted norm {sigma} exceeds 1 beyond tolerance"
-        )
-    return min(max(sigma, 0.0), 1.0)
+    return float(_checked_cosines(np.linalg.svd(cross, compute_uv=False)[0]))
+
+
+def _checked_cosines(sigma):
+    """Top cross-Gram singular values, clamped to [0, 1].
+
+    An excess over 1 beyond NORM_EXCESS_TOL signals corrupt bases and
+    raises NumericalError.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    top = sigma.max(initial=0.0)
+    if top > 1.0 + NORM_EXCESS_TOL:
+        raise NumericalError(f"restricted norm {top} exceeds 1 beyond tolerance")
+    return np.clip(sigma, 0.0, 1.0)
 
 
 def minimal_angle(m: Subspace, n: Subspace) -> float:

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line, line_at_angle
+from conftest import line, line_at_angle, random_subspace
 from sumspaces import (
     EMatrix,
+    NumericalError,
     SubspaceFamily,
     WrongArity,
     build_e_matrix,
     e_matrix_with_bounds,
     evaluate_criterion,
     leading_minors,
+    restricted_norm,
     spectral_radius,
     three_subspace_angle_test,
 )
@@ -61,6 +63,11 @@ class TestEMatrixValidation:
         with pytest.raises(ValueError):
             EMatrix(3, [[0.0, 0.5], [0.5, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EMatrix(2, [[0.0, bad], [bad, 0.0]])
+
 
 class TestBuildEMatrix:
     def test_single_subspace(self):
@@ -78,6 +85,31 @@ class TestBuildEMatrix:
             3, (line(1, 0, 0), line(0, 1, 0), line(0, 0, 1))
         )
         np.testing.assert_array_equal(build_e_matrix(f).entries, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_restricted_norm(self, seed):
+        # mixed member dimensions, n = 1 included, and one member with k = d
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 9))
+        dims = [d] + [int(rng.integers(1, d + 1)) for _ in range(seed)]
+        members = tuple(random_subspace(rng, d, k) for k in dims)
+        f = SubspaceFamily(d, members)
+        expected = np.array(
+            [
+                [0.0 if i == j else restricted_norm(mi, mj) for j, mj in enumerate(members)]
+                for i, mi in enumerate(members)
+            ]
+        )
+        np.testing.assert_allclose(build_e_matrix(f).entries, expected, rtol=0, atol=1e-15)
+
+    def test_corrupted_basis_raises(self):
+        # a basis scaled after validation gives a cosine of 2
+        x1, x2 = line(1.0, 0.0), line(1.0, 0.0)
+        object.__setattr__(x2, "basis", 2.0 * x2.basis)
+        with pytest.raises(NumericalError):
+            restricted_norm(x1, x2)
+        with pytest.raises(NumericalError):
+            build_e_matrix(SubspaceFamily(2, (x1, x2)))
 
 
 class TestUserSuppliedBounds:

@@ -84,6 +84,7 @@ class TestFamilyFiles:
             '{"ambient_dim": 2, "subspaces": []}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": []}]}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[1.0, 0.0, 0.0]]}]}',
+            '{"ambient_dim": 2, "subspaces": ["x"]}',
             "not json",
         ],
     )
@@ -326,6 +327,16 @@ class TestCounterexampleCommand:
             ["counterexample", str(epath), "--blocks", "2", "--out", str(out)]
         )
         assert code == 1
+        assert not out.exists()
+
+    def test_non_finite_matrix_exits_one_without_output(self, tmp_path, capsys):
+        epath = tmp_path / "e.json"
+        epath.write_text('{"n": 2, "entries": [[0.0, NaN], [NaN, 0.0]]}')
+        out = tmp_path / "family.json"
+        code = main(["counterexample", str(epath), "--blocks", "2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: entries must be finite\n"
         assert not out.exists()
 
     def test_invalid_matrix_file(self, tmp_path):

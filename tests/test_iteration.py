@@ -158,8 +158,12 @@ class TestConvergenceReport:
 
     def test_refuses_boundary_family(self):
         dup = SubspaceFamily(2, (line(1.0, 0.0), line(1.0, 0.0)))
-        with pytest.raises(CriterionNotSatisfied):
+        with pytest.raises(CriterionNotSatisfied) as exc_info:
             convergence_report(dup, 5)
+        report = exc_info.value.report
+        assert report is not None
+        assert report.boundary
+        assert not report.satisfied
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,7 @@ class TestCounterexampleSpec:
             spec = CounterexampleSpec(e, (0.5,))
         assert spectral_radius(spec.e) == pytest.approx(1.0, abs=1e-9)
         assert spec.e.entries[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert spec.input_radius == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_radius_below_one(self):
         with pytest.raises(NotBoundary):
@@ -104,8 +105,6 @@ class TestCounterexampleSpec:
             CounterexampleSpec(e, (0.0, 0.5))
         with pytest.raises(ValueError):
             CounterexampleSpec(e, ())
-        with pytest.raises(ValueError):
-            CounterexampleSpec(e, (0.25, 0.5), K=3)
 
 
 class TestGeometricAlphas:
