@@ -75,23 +75,30 @@ def build_e_matrix(f: SubspaceFamily) -> EMatrix:
     """Measure the optimal pairwise angle cosines of a family.
 
     Every cosine is the top singular value of a cross-Gram block
-    basis_i' * basis_j, and all blocks are parts of one Gram matrix of
-    the concatenated bases.  Members are zero-padded to the largest
-    member dimension k (zero columns leave a block's top singular value
-    unchanged), the Gram matrix is formed by one product, and the
-    upper-triangle blocks go through one batched SVD.
+    basis_i' * basis_j.  Members are grouped by dimension; for each pair
+    of groups the blocks are cut from one product of the groups' stacked
+    bases and go through one batched SVD.  A family whose members share
+    one dimension takes one product and one SVD, and memory stays within
+    the Gram matrix of the concatenated bases whatever the dimensions.
     """
-    n = f.n
-    k = max(m.dim for m in f.members)
-    padded = np.zeros((f.ambient_dim, n * k))
-    for i, m in enumerate(f.members):
-        padded[:, i * k:i * k + m.dim] = m.basis
-    blocks = (padded.T @ padded).reshape(n, k, n, k).swapaxes(1, 2)
-    rows, cols = np.triu_indices(n, 1)
-    sigma = np.linalg.svd(blocks[rows, cols], compute_uv=False)[:, 0]
-    entries = np.zeros((n, n))
-    entries[rows, cols] = _checked_cosines(sigma)
-    return EMatrix(n, entries + entries.T)
+    dims = np.array([m.dim for m in f.members])
+    ks = sorted(set(dims.tolist()))  # np.unique imports numpy.ma, +1.7 MB RSS
+    groups = [np.flatnonzero(dims == k) for k in ks]
+    stacks = [np.hstack([f.members[i].basis for i in g]) for g in groups]
+    entries = np.zeros((f.n, f.n))
+    for a, (ga, sa) in enumerate(zip(groups, stacks)):
+        for b in range(a, len(groups)):
+            gb, sb = groups[b], stacks[b]
+            if a == b:
+                rows, cols = np.triu_indices(ga.size, 1)
+            else:
+                rows, cols = np.indices((ga.size, gb.size)).reshape(2, -1)
+            if not rows.size:
+                continue
+            blocks = (sa.T @ sb).reshape(ga.size, ks[a], gb.size, ks[b]).swapaxes(1, 2)
+            sigma = np.linalg.svd(blocks[rows, cols], compute_uv=False)[:, 0]
+            entries[ga[rows], gb[cols]] = _checked_cosines(sigma)
+    return EMatrix(f.n, entries + entries.T)
 
 
 def e_matrix_with_bounds(f: SubspaceFamily, bounds) -> EMatrix:

@@ -32,7 +32,7 @@ class CriterionNotSatisfied(SumspacesError, RuntimeError):
     """Raised when a certified convergence bound is requested but the
     spectral criterion does not hold.  Carries the criterion report."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
@@ -51,6 +51,6 @@ class VerificationFailed(SumspacesError, RuntimeError):
     """Raised when a constructed counterexample family fails one of its
     verification checks.  Carries the full verification record."""
 
-    def __init__(self, message, record=None):
+    def __init__(self, message, record):
         super().__init__(message)
         self.record = record

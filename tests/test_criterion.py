@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,27 @@ class TestBuildEMatrix:
             ]
         )
         np.testing.assert_allclose(build_e_matrix(f).entries, expected, rtol=0, atol=1e-15)
+
+    def test_mixed_dimensions_keep_memory_within_gram_size(self):
+        # many lines plus one member with k = d: padding every member to
+        # k = d would need a Gram matrix of (n*d)^2 doubles (87 MB here)
+        rng = np.random.default_rng(7)
+        d = 100
+        members = tuple(random_subspace(rng, d, k) for k in [1] * 30 + [2, 2, d])
+        f = SubspaceFamily(d, members)
+        build_e_matrix(f)  # first call pays one-off import allocations
+        tracemalloc.start()
+        try:
+            e = build_e_matrix(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram_and_stack_bytes = 8 * (f.total_dim**2 + d * f.total_dim)
+        assert peak < 2 * gram_and_stack_bytes
+        for i, j in [(0, 1), (0, 30), (30, 31), (29, 32), (31, 32)]:
+            assert e.entries[i, j] == pytest.approx(
+                restricted_norm(members[i], members[j]), abs=1e-15
+            )
 
     def test_corrupted_basis_raises(self):
         # a basis scaled after validation gives a cosine of 2
