@@ -8,8 +8,12 @@ Subcommands:
   counterexample  generate a block family realizing a boundary matrix
 
 Exit codes: 0 criterion satisfied / counterexample verified, 1 invalid
-input, 2 criterion failed or verification failed, 3 spectral radius on
-the boundary.
+input (including bad arguments and unwritable outputs), 2 criterion
+failed or verification failed, 3 spectral radius on the boundary.
+
+``main`` is the only boundary to the outside world: every invalid input
+ends in exit code 1 with one ``error:`` line on stderr, and every warning
+is printed as one ``notice:`` line.
 """
 
 import argparse
@@ -25,6 +29,7 @@ from .counterexamples import (
 )
 from .criterion import build_e_matrix, evaluate_criterion
 from .errors import CriterionNotSatisfied, SumspacesError, VerificationFailed
+from .iteration import convergence_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,8 +37,15 @@ EXIT_NOT_SATISFIED = 2
 EXIT_BOUNDARY = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Sends argument errors down the invalid-input path instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sumspaces",
         description="Spectral test, projection iteration and boundary "
         "counterexamples for sums of subspaces.",
@@ -45,6 +57,7 @@ def _parser():
     )
     p_analyze.add_argument("family", help="family JSON file")
     p_analyze.add_argument("--report", help="write the JSON report here")
+    p_analyze.set_defaults(run=_cmd_analyze)
 
     p_project = sub.add_parser(
         "project", help="run the projection iteration with certified bounds"
@@ -53,6 +66,7 @@ def _parser():
     p_project.add_argument("--n-max", type=int, required=True, help="iteration steps")
     p_project.add_argument("--report", help="write the JSON report here")
     p_project.add_argument("--csv", help="write N,error,bound rows here")
+    p_project.set_defaults(run=_cmd_project)
 
     p_counter = sub.add_parser(
         "counterexample", help="build a block family for a boundary matrix"
@@ -66,53 +80,47 @@ def _parser():
     )
     p_counter.add_argument("--out", required=True, help="write the family here")
     p_counter.add_argument("--verify", help="write the verification record here")
+    p_counter.set_defaults(run=_cmd_counterexample)
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        family, _ = io.load_family(args.family)
-        report = evaluate_criterion(build_e_matrix(family))
-    except (SumspacesError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    doc = {
-        "criterion": io.criterion_section(report),
-        "metadata": io.report_metadata(args.family),
-    }
-    io.write_report(args.report, doc, stream=sys.stdout)
+def _criterion_exit(report) -> int:
     if report.boundary:
         return EXIT_BOUNDARY
     return EXIT_OK if report.satisfied else EXIT_NOT_SATISFIED
 
 
-def _cmd_project(args) -> int:
-    from .iteration import convergence_report
+def _cmd_analyze(args) -> int:
+    family, _ = io.load_family(args.family)
+    report = evaluate_criterion(build_e_matrix(family))
+    doc = {
+        "criterion": io.criterion_section(report),
+        "metadata": io.report_metadata(args.family),
+    }
+    io.write_report(args.report, doc, stream=sys.stdout)
+    return _criterion_exit(report)
 
+
+def _cmd_project(args) -> int:
+    family, _ = io.load_family(args.family)
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     try:
-        family, _ = io.load_family(args.family)
-        if args.n_max < 1:
-            raise ValueError("--n-max must be at least 1")
         convergence = convergence_report(family, args.n_max)
         criterion = convergence.criterion
     except CriterionNotSatisfied as exc:
         convergence, criterion = None, exc.report
-    except (SumspacesError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     doc = {
         "criterion": io.criterion_section(criterion),
         "metadata": io.report_metadata(args.family),
     }
-    if convergence is None:
-        io.write_report(args.report, doc, stream=sys.stdout)
-        return EXIT_BOUNDARY if criterion.boundary else EXIT_NOT_SATISFIED
-    doc |= io.convergence_section(convergence)
+    if convergence is not None:
+        doc |= io.convergence_section(convergence)
     io.write_report(args.report, doc, stream=sys.stdout)
-    if args.csv:
+    if convergence is not None and args.csv:
         io.write_convergence_csv(args.csv, convergence)
-    return EXIT_OK
+    return _criterion_exit(criterion)
 
 
 def _parse_alphas(schedule: str, blocks: int):
@@ -129,21 +137,11 @@ def _parse_alphas(schedule: str, blocks: int):
 
 
 def _cmd_counterexample(args) -> int:
-    try:
-        e = io.load_ematrix(args.ematrix)
-        if args.blocks < 1:
-            raise ValueError("--blocks must be at least 1")
-        alphas = _parse_alphas(args.alpha_schedule, args.blocks)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = CounterexampleSpec(e, alphas)
-        for w in caught:
-            print(f"notice: {w.message}", file=sys.stderr)
-        cf = build_counterexample(spec)
-    except (SumspacesError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    e = io.load_ematrix(args.ematrix)
+    if args.blocks < 1:
+        raise ValueError("--blocks must be at least 1")
+    spec = CounterexampleSpec(e, _parse_alphas(args.alpha_schedule, args.blocks))
+    cf = build_counterexample(spec)
     io.save_family(args.out, cf.family)
     try:
         record = verify_counterexample(cf, spec)
@@ -163,14 +161,22 @@ def _cmd_counterexample(args) -> int:
     return status
 
 
+def _notice(message, *_):
+    print(f"notice: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "project": _cmd_project,
-        "counterexample": _cmd_counterexample,
-    }
-    return handlers[args.command](args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        # printed when raised, so notices stay in order with the other
+        # stderr lines and precede any error line
+        warnings.showwarning = _notice
+        try:
+            args = _parser().parse_args(argv)
+            return args.run(args)
+        except (SumspacesError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

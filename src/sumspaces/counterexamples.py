@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import EMatrix, build_e_matrix, spectral_radius
+from .criterion import BOUNDARY_BAND, EMatrix, build_e_matrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
 from .subspaces import Subspace, SubspaceFamily, _frozen_array, sum_operator
 
-# |r(E) - 1| accepted as "boundary" for the construction.
-BOUNDARY_TOL = 1e-9
 # Entrywise tolerance on the per-block Gram factorization residual.
 GRAM_TOL = 1e-10
 
@@ -53,14 +51,14 @@ class CounterexampleSpec:
         r = spectral_radius(self.e)
         object.__setattr__(self, "input_radius", r)
         e = self.e
-        if r > 1.0 + BOUNDARY_TOL:
+        if r > 1.0 + BOUNDARY_BAND:
             warnings.warn(
                 f"spectral radius {r:.12g} exceeds 1; rescaling entries by 1/r",
                 stacklevel=2,
             )
             e = EMatrix(self.e.n, self.e.entries / r)
             r = spectral_radius(e)
-        if abs(r - 1.0) > BOUNDARY_TOL:
+        if abs(r - 1.0) > BOUNDARY_BAND:
             raise NotBoundary(
                 f"spectral radius {r:.12g} is not 1 within tolerance; "
                 "the construction needs a boundary matrix"
@@ -133,7 +131,7 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     """
     w, v = np.linalg.eigh(e.entries)
     r = float(w[-1])
-    if abs(r - 1.0) > BOUNDARY_TOL:
+    if abs(r - 1.0) > BOUNDARY_BAND:
         raise NotBoundary(f"spectral radius {r:.12g} is not 1 within tolerance")
     c = v[:, -1]
     for x in c:

@@ -16,7 +16,8 @@ from .errors import InconsistencyError, NumericalError, WrongArity
 from .subspaces import SubspaceFamily, _checked_cosines, _frozen_array
 
 # |r(E) - 1| at or below this counts as the boundary: the criterion is
-# reported unsatisfied and the equivalence cross-check is suspended.
+# reported unsatisfied and the equivalence cross-check is suspended, and
+# the counterexample construction accepts the matrix as a boundary one.
 BOUNDARY_BAND = 1e-9
 # Dead zone for the secondary formulations' own decision statistics.
 _STAT_DEAD_ZONE = 1e-12
@@ -147,10 +148,15 @@ def three_subspace_angle_test(e: EMatrix) -> bool:
     """For three subspaces: do the pairwise minimal angles sum to > pi?"""
     if e.n != 3:
         raise WrongArity(f"angle-sum test needs exactly 3 subspaces, got {e.n}")
-    off = np.array([e.entries[0, 1], e.entries[1, 2], e.entries[2, 0]])
-    if off.max() > 1.0:
+    if e.entries.max() > 1.0:
         raise ValueError("angle-sum test needs all cosines in [0, 1]")
-    return float(np.arccos(off).sum()) > np.pi
+    return _angle_sum(e) > np.pi
+
+
+def _angle_sum(e: EMatrix) -> float:
+    """Sum of the three pairwise minimal angles of a 3-member E."""
+    off = np.array([e.entries[0, 1], e.entries[1, 2], e.entries[2, 0]])
+    return float(np.arccos(off).sum())
 
 
 def evaluate_criterion(e: EMatrix) -> CriterionReport:
@@ -165,8 +171,7 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
     minors = leading_minors(e)
     angle_sum = None
     if e.n == 3 and e.entries.max() <= 1.0:
-        off = np.array([e.entries[0, 1], e.entries[1, 2], e.entries[2, 0]])
-        angle_sum = float(np.arccos(off).sum())
+        angle_sum = _angle_sum(e)
 
     boundary = abs(r - 1.0) <= BOUNDARY_BAND
     satisfied = (r < 1.0) and not boundary

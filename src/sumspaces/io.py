@@ -29,14 +29,11 @@ def load_family(path):
     a warning is emitted when the numerical rank falls short of the number
     of supplied vectors.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("family file must be a JSON object")
+    doc = _read_object(path, "family")
     try:
         d = int(doc["ambient_dim"])
         entries = doc["subspaces"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"family file missing/invalid field: {exc}") from exc
     if d < 1:
         raise ValueError(f"ambient_dim must be positive, got {d}")
@@ -51,11 +48,16 @@ def load_family(path):
         vectors = entry.get("vectors")
         if not isinstance(vectors, list) or not vectors:
             raise ValueError(f"subspace {name!r} needs at least one vector")
-        arr = np.asarray(vectors, dtype=float)
+        try:
+            arr = np.asarray(vectors, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"subspace {name!r}: invalid vectors: {exc}") from exc
         if arr.ndim != 2 or arr.shape[1] != d:
             raise ValueError(
                 f"subspace {name!r}: vectors must all have length {d}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"subspace {name!r}: vectors must be finite")
         sub = orthonormalize(arr.T)
         if sub.dim < arr.shape[0]:
             warnings.warn(
@@ -79,25 +81,24 @@ def save_family(path, family: SubspaceFamily, names=None):
             for name, member in zip(names, family.members)
         ],
     }
-    _dump_json(path, doc)
+    with open(path, "w") as fh:
+        _write_json(fh, doc)
 
 
 def load_ematrix(path) -> EMatrix:
     """Read an angle-cosine matrix file {"n": int, "entries": [[...]]}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("matrix file must be a JSON object")
+    doc = _read_object(path, "matrix")
     try:
         n = int(doc["n"])
         entries = np.asarray(doc["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix file missing/invalid field: {exc}") from exc
     return EMatrix(n, entries)
 
 
 def save_ematrix(path, e: EMatrix):
-    _dump_json(path, {"n": e.n, "entries": e.entries.tolist()})
+    with open(path, "w") as fh:
+        _write_json(fh, {"n": e.n, "entries": e.entries.tolist()})
 
 
 def criterion_section(report: CriterionReport) -> dict:
@@ -141,13 +142,11 @@ def report_metadata(input_path) -> dict:
 
 def write_report(path_or_none, doc: dict, stream=None):
     """Write a report to a file, or to the stream when no path is given."""
-    text = json.dumps(doc, indent=2) + "\n"
-    if path_or_none is None:
-        if stream is not None:
-            stream.write(text)
-    else:
+    if path_or_none is not None:
         with open(path_or_none, "w") as fh:
-            fh.write(text)
+            _write_json(fh, doc)
+    elif stream is not None:
+        _write_json(stream, doc)
 
 
 def write_convergence_csv(path, report: ConvergenceReport):
@@ -158,7 +157,23 @@ def write_convergence_csv(path, report: ConvergenceReport):
             fh.write(f"{s.N},{s.error!r},{s.bound!r}\n")
 
 
-def _dump_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _read_object(path, kind):
+    """Parse a JSON file that must hold one object."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{kind} file is nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} file must be a JSON object")
+    return doc
+
+
+def _write_json(fh, doc):
+    """Stream ``doc`` to an open text handle as indented JSON plus a newline.
+
+    ``json.dump`` writes chunk by chunk; building the whole string first
+    would hold a second copy of a large family in memory.
+    """
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")

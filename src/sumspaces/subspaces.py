@@ -48,7 +48,7 @@ class Subspace:
             raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
         gram = basis.T @ basis
         drift = np.abs(gram - np.eye(k)).max()
-        if drift > ORTHONORMALITY_TOL:
+        if not drift <= ORTHONORMALITY_TOL:  # also rejects a NaN drift
             raise ValueError(
                 f"basis columns are not orthonormal (drift {drift:.3e})"
             )
@@ -105,7 +105,9 @@ def orthonormalize(raw) -> Subspace:
         raise ValueError("spanning set must have at least one row and column")
 
     if m <= d:
-        gram = raw.T @ raw
+        # an overflowed Gram matrix is not the identity: the SVD path runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = raw.T @ raw
         if np.abs(gram - np.eye(m)).max() <= 1e-12:
             return Subspace(d, raw)
 

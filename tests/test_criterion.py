@@ -198,6 +198,11 @@ class TestAngleSumTest:
         with pytest.raises(WrongArity):
             three_subspace_angle_test(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]))
 
+    def test_cosine_above_one_rejected(self):
+        e = EMatrix(3, [[0, 1.5, 0], [1.5, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            three_subspace_angle_test(e)
+
 
 class TestEvaluateCriterion:
     def test_sixty_degree_pair(self):

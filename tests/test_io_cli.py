@@ -1,7 +1,13 @@
+import contextlib
 import json
+import tempfile
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_subspace
 from sumspaces import SubspaceFamily, _kernels, build_e_matrix, io, spectral_radius
@@ -86,12 +92,30 @@ class TestFamilyFiles:
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[1.0, 0.0, 0.0]]}]}',
             '{"ambient_dim": 2, "subspaces": ["x"]}',
             "not json",
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[NaN, 0.0]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[Infinity, 0.0]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[1.0, {}]]}]}',
+            pytest.param(
+                '{"ambient_dim": 1, "subspaces": [{"vectors": [[1%s]]}]}' % ("0" * 400),
+                id="integer-overflows-float",
+            ),
+            '{"ambient_dim": 1e400, "subspaces": [{"vectors": [[1.0]]}]}',
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc)
         with pytest.raises(ValueError):
+            io.load_family(path)
+
+    def test_non_finite_vectors_name_the_subspace(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"ambient_dim": 2, "subspaces": [{"name": "A", "vectors": [[1.0, 0.0]]},'
+            ' {"name": "B", "vectors": [[-Infinity, 1.0]]}]}'
+        )
+        with pytest.raises(ValueError, match="subspace 'B': vectors must be finite"):
             io.load_family(path)
 
 
@@ -109,6 +133,12 @@ class TestEMatrixFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "entries": [[0.0, 0.5], [0.4, 0.0]]}')
         with pytest.raises(ValueError):
+            io.load_ematrix(path)
+
+    def test_overflowing_size_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 1e400, "entries": [[0.0]]}')
+        with pytest.raises(ValueError, match="matrix file"):
             io.load_ematrix(path)
 
 
@@ -361,3 +391,139 @@ class TestCounterexampleCommand:
             ]
         )
         assert code == 1
+
+
+def stderr_lines(captured):
+    return captured.err.splitlines()
+
+
+class TestCommandBoundary:
+    """Every invalid input ends in exit 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{family}", "--report", "{missing}/r.json"],
+            ["project", "{family}", "--n-max", "3", "--csv", "{missing}/r.csv"],
+            ["counterexample", "{ematrix}", "--blocks", "2", "--out", "{missing}/f.json"],
+            [
+                "counterexample", "{ematrix}", "--blocks", "2",
+                "--out", "{tmp}/f.json", "--verify", "{missing}/v.json",
+            ],
+        ],
+        ids=["analyze-report", "project-csv", "counterexample-out", "counterexample-verify"],
+    )
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, argv):
+        paths = {
+            "family": sixty_degree_file(tmp_path),
+            "ematrix": tmp_path / "e.json",
+            "missing": tmp_path / "missing",
+            "tmp": tmp_path,
+        }
+        paths["ematrix"].write_text('{"n": 2, "entries": [[0.0, 1.0], [1.0, 0.0]]}')
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra", [["--n-max", "abc"], []], ids=["non-integer", "missing"]
+    )
+    def test_bad_n_max_argument_exits_one(self, tmp_path, capsys, extra):
+        path = sixty_degree_file(tmp_path)
+        assert main(["project", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = stderr_lines(captured)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--n-max" in lines[0]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--help"])
+        assert exc.value.code == 0
+        assert "--n-max" in capsys.readouterr().out
+
+    def test_overflowing_ambient_dim_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"ambient_dim": 1e400, "subspaces": [{"vectors": [[1.0]]}]}')
+        assert main(["analyze", str(path)]) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_rank_deficiency_is_one_notice(self, tmp_path, capsys):
+        path = write_family_file(
+            tmp_path / "dep.json",
+            {"X1": [[1.0, 0.0], [2.0, 0.0]], "X2": [[0.0, 1.0]]},
+            2,
+        )
+        assert main(["analyze", str(path)]) == 0
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1 and lines[0].startswith("notice: ")
+        assert "rank" in lines[0]
+
+    def test_notice_comes_before_error(self, tmp_path, capsys):
+        path = write_family_file(
+            tmp_path / "mixed.json",
+            {"X1": [[1.0, 0.0], [2.0, 0.0]], "X2": [[float("nan"), 1.0]]},
+            2,
+        )
+        assert main(["project", str(path), "--n-max", "3"]) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert [line.split(":")[0] for line in lines] == ["notice", "error"]
+        assert lines[1] == "error: subspace 'X2': vectors must be finite"
+
+    def test_huge_vectors_analyze_quietly(self, tmp_path, capsys):
+        path = write_family_file(
+            tmp_path / "huge.json", {"X1": [[1e300, 0.0]], "X2": [[0.0, 1.0]]}, 2
+        )
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["criterion"]["spectral_radius"] == 0.0
+
+
+_NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(
+        [0.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), -float("inf")]
+    ),
+)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.just([]), st.just({})
+)
+
+
+@st.composite
+def family_documents(draw):
+    """Family documents that are mostly well-formed, with damaged parts."""
+    d = draw(st.integers(1, 6))
+    vector = st.one_of(
+        st.lists(_NUMBERS, min_size=d, max_size=d),
+        st.lists(st.one_of(_NUMBERS, _JUNK), max_size=d + 1),
+    )
+    entry = st.one_of(
+        st.builds(lambda v: {"vectors": v}, st.one_of(st.lists(vector, max_size=3), _JUNK)),
+        _JUNK,
+    )
+    ambient = st.one_of(
+        st.just(d),
+        st.sampled_from([0, -1, 10**12, 1e300, float("inf"), float("nan"), "2", None]),
+    )
+    subspaces = st.one_of(st.lists(entry, min_size=1, max_size=4), _JUNK)
+    return json.dumps({"ambient_dim": draw(ambient), "subspaces": draw(subspaces)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_documents())
+def test_cli_contract_on_generated_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.json"
+        path.write_text(text)
+        for argv in (["analyze", str(path)], ["project", str(path), "--n-max", "3"]):
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            lines = err.getvalue().splitlines()
+            assert all(line.startswith(("error: ", "notice: ")) for line in lines), lines
+            assert sum(line.startswith("error: ") for line in lines) <= 1

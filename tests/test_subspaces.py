@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,11 +55,21 @@ class TestOrthonormalize:
         raw = np.hstack([base, base @ [[1.0], [1.0]] + 1e-13 * rng.normal(size=(8, 1))])
         assert orthonormalize(raw).dim == 2
 
+    def test_huge_entries_take_svd_path_without_warning(self):
+        # the Gram matrix of a 1e300 column overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = orthonormalize(np.array([[1e300, 0.0], [0.0, -1e300]]))
+        assert s.dim == 2
+        assert np.abs(s.basis.T @ s.basis - np.eye(2)).max() <= 1e-10
+
 
 class TestSubspaceValidation:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(2, np.array([[np.nan], [0.0]]))
 
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValueError):
