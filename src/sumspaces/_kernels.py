@@ -55,5 +55,6 @@ def error_series(m, target, n_steps):
                 f"{SKEW_TOL:g}; its eigenvalues do not give its norm"
             )
         w = np.linalg.eigvalsh((diff + diff.T) / 2.0)
-        errors[i] = max(-w[0], w[-1])
+        # abs: a zero deviation has norm +0.0, never -0.0
+        errors[i] = max(abs(w[0]), abs(w[-1]))
     return errors

@@ -30,11 +30,8 @@ def load_family(path):
     of supplied vectors.
     """
     doc = _read_object(path, "family")
-    try:
-        d = int(doc["ambient_dim"])
-        entries = doc["subspaces"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"family file missing/invalid field: {exc}") from exc
+    d = _integer_field(doc, "ambient_dim", "family")
+    entries = doc.get("subspaces")
     if d < 1:
         raise ValueError(f"ambient_dim must be positive, got {d}")
     if not isinstance(entries, list) or not entries:
@@ -48,10 +45,7 @@ def load_family(path):
         vectors = entry.get("vectors")
         if not isinstance(vectors, list) or not vectors:
             raise ValueError(f"subspace {name!r} needs at least one vector")
-        try:
-            arr = np.asarray(vectors, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"subspace {name!r}: invalid vectors: {exc}") from exc
+        arr = _number_array(vectors, f"subspace {name!r}: vectors")
         if arr.ndim != 2 or arr.shape[1] != d:
             raise ValueError(
                 f"subspace {name!r}: vectors must all have length {d}"
@@ -88,12 +82,8 @@ def save_family(path, family: SubspaceFamily, names=None):
 def load_ematrix(path) -> EMatrix:
     """Read an angle-cosine matrix file {"n": int, "entries": [[...]]}."""
     doc = _read_object(path, "matrix")
-    try:
-        n = int(doc["n"])
-        entries = np.asarray(doc["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"matrix file missing/invalid field: {exc}") from exc
-    return EMatrix(n, entries)
+    n = _integer_field(doc, "n", "matrix")
+    return EMatrix(n, _number_array(doc.get("entries"), "matrix file: entries"))
 
 
 def save_ematrix(path, e: EMatrix):
@@ -167,6 +157,29 @@ def _read_object(path, kind):
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
     return doc
+
+
+def _integer_field(doc, key, kind):
+    """``doc[key]``, which must be a JSON integer (not a float, string or bool)."""
+    value = doc.get(key)
+    if type(value) is not int:
+        raise ValueError(f"{kind} file: {key!r} must be a JSON integer")
+    return value
+
+
+def _number_array(value, what):
+    """``value`` as a float array; every entry must be a JSON number.
+
+    Parsed without a dtype, strings, booleans, null and integers too large
+    for a machine word give a non-numeric array, which is rejected.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{what} are invalid: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be JSON numbers")
+    return arr.astype(float, copy=False)
 
 
 def _write_json(fh, doc):

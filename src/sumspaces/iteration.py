@@ -19,7 +19,6 @@ from .errors import CriterionNotSatisfied, InconsistencyError
 from .subspaces import (
     SubspaceFamily,
     orthonormalize,
-    projection_matrix,
     sum_operator,
 )
 
@@ -44,9 +43,11 @@ class ConvergenceReport:
     operator-norm distance of the N=i+1 iterate from the reference
     projection together with the bound r^N.
     ``frame_lower``/``frame_upper`` are the extreme squared singular
-    values of the concatenated-basis operator; they lie in
-    [1-r, 1+r] up to roundoff.  ``a_restricted_deviation`` is the norm of
-    A - I compressed to the sum, which is at most r.
+    values sigma_min^2, sigma_max^2 of the concatenated-basis operator S;
+    they lie in [1-r, 1+r] up to roundoff.  ``a_restricted_deviation`` is
+    the norm of A - I restricted to the sum,
+    max(1 - sigma_min^2, sigma_max^2 - 1), which is at most r.  It is the
+    exact contraction factor: the error at step N is its N-th power.
     """
 
     criterion: CriterionReport
@@ -61,21 +62,22 @@ class ConvergenceReport:
 
 
 def sum_of_projections(f: SubspaceFamily) -> np.ndarray:
-    """A = P_1 + ... + P_n, the sum of the members' projections."""
-    a = np.zeros((f.ambient_dim, f.ambient_dim))
-    for m in f.members:
-        a += projection_matrix(m)
-    return a
+    """A = P_1 + ... + P_n = S S', the sum of the members' projections."""
+    return _outer(sum_operator(f))
 
 
-def _oracle(f: SubspaceFamily):
-    """(orthonormal basis of the sum, projection onto the sum)."""
-    q = orthonormalize(sum_operator(f)).basis
-    d = f.ambient_dim
-    if q.shape[1] == d:
-        return q, np.eye(d)
+def _outer(q):
+    """q q', symmetrized."""
     p = q @ q.T
-    return q, (p + p.T) / 2.0
+    return (p + p.T) / 2.0
+
+
+def _reference(u, d):
+    """Projection onto the span of orthonormal columns u in R^d.
+
+    The exact identity when u has d columns.
+    """
+    return np.eye(d) if u.shape[1] == d else _outer(u)
 
 
 def oracle_projection(f: SubspaceFamily) -> np.ndarray:
@@ -85,7 +87,7 @@ def oracle_projection(f: SubspaceFamily) -> np.ndarray:
     independently of the iteration.  When the sum is the whole ambient
     space the exact identity is returned.
     """
-    return _oracle(f)[1]
+    return _reference(orthonormalize(sum_operator(f)).basis, f.ambient_dim)
 
 
 def iterate_projection(f: SubspaceFamily, n_steps: int) -> np.ndarray:
@@ -96,7 +98,7 @@ def iterate_projection(f: SubspaceFamily, n_steps: int) -> np.ndarray:
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
     d = f.ambient_dim
-    m_fac = np.ascontiguousarray(np.eye(d) - sum_of_projections(f))
+    m_fac = np.eye(d) - sum_of_projections(f)
     out = np.eye(d) - _kernels.power_chain(m_fac, n_steps)
     return (out + out.T) / 2.0
 
@@ -121,26 +123,22 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     r = report.spectral_radius
 
     d = f.ambient_dim
-    a = sum_of_projections(f)
-    q, target = _oracle(f)
+    s = sum_operator(f)
+    # r < 1 certifies sigma_min^2 >= 1 - r > 0: S has full column rank.
+    u, sigma, _ = np.linalg.svd(s, full_matrices=False)
+    frame_lower, frame_upper = float(sigma[-1] ** 2), float(sigma[0] ** 2)
 
-    m_fac = np.ascontiguousarray(np.eye(d) - a)
-    errors = _kernels.error_series(m_fac, np.ascontiguousarray(target), n_max)
+    errors = _kernels.error_series(np.eye(d) - _outer(s), _reference(u, d), n_max)
     steps = tuple(
         ConvergenceStep(N=i + 1, error=float(errors[i]), bound=r ** (i + 1))
         for i in range(n_max)
     )
-
-    svals = np.linalg.svd(sum_operator(f), compute_uv=False)
-    compressed = q.T @ (a - np.eye(d)) @ q
-    a_dev = float(np.linalg.svd(compressed, compute_uv=False)[0])
-
     return ConvergenceReport(
         criterion=report,
         steps=steps,
-        frame_lower=float(svals[-1] ** 2),
-        frame_upper=float(svals[0] ** 2),
-        a_restricted_deviation=a_dev,
+        frame_lower=frame_lower,
+        frame_upper=frame_upper,
+        a_restricted_deviation=max(1.0 - frame_lower, frame_upper - 1.0),
     )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -101,6 +102,16 @@ class TestFamilyFiles:
             ),
             '{"ambient_dim": 1e400, "subspaces": [{"vectors": [[1.0]]}]}',
             pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
+            '{"ambient_dim": 2.7, "subspaces": [{"vectors": [[1.0, 0.0]]}]}',
+            '{"ambient_dim": "2", "subspaces": [{"vectors": [[1.0, 0.0]]}]}',
+            '{"ambient_dim": true, "subspaces": [{"vectors": [[1.0]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [["1.5", "0"]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[true, false]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[null, 1.0]]}]}',
+            pytest.param(
+                '{"ambient_dim": 2, "subspaces": [{"vectors": [[1%s, 0]]}]}' % ("0" * 20),
+                id="integer-overflows-machine-word",
+            ),
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, doc):
@@ -138,6 +149,26 @@ class TestEMatrixFiles:
     def test_overflowing_size_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1e400, "entries": [[0.0]]}')
+        with pytest.raises(ValueError, match="matrix file"):
+            io.load_ematrix(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 2.0, "entries": [[0.0, 0.5], [0.5, 0.0]]}',
+            '{"n": "2", "entries": [[0.0, 0.5], [0.5, 0.0]]}',
+            '{"n": true, "entries": [[0.0]]}',
+            '{"entries": [[0.0]]}',
+            '{"n": 2, "entries": [["0", "0.5"], ["0.5", "0"]]}',
+            '{"n": 1, "entries": [[false]]}',
+            '{"n": 2, "entries": [[0.0, null], [null, 0.0]]}',
+            '{"n": 2, "entries": [[0, 1%s], [1%s, 0]]}' % ("0" * 20, "0" * 20),
+            '{"n": 1}',
+        ],
+    )
+    def test_non_number_fields_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
         with pytest.raises(ValueError, match="matrix file"):
             io.load_ematrix(path)
 
@@ -259,6 +290,17 @@ class TestProjectCommand:
             tmp_path / "dup.json", {"X1": [[1.0, 0.0]], "X2": [[1.0, 0.0]]}, 2
         )
         assert main(["project", str(path), "--n-max", "5"]) == 3
+
+    def test_zero_errors_are_positive_zero(self, tmp_path):
+        path = orthogonal_lines_file(tmp_path)
+        report = tmp_path / "report.json"
+        csv_path = tmp_path / "rows.csv"
+        argv = ["project", str(path), "--n-max", "3", "--report", str(report)]
+        assert main(argv + ["--csv", str(csv_path)]) == 0
+        assert "-0.0" not in report.read_text()
+        assert "-0.0" not in csv_path.read_text()
+        rows = json.loads(report.read_text())["convergence"]
+        assert [math.copysign(1.0, row["error"]) for row in rows] == [1.0] * 3
 
     def test_bad_n_max_exit(self, tmp_path):
         path = orthogonal_lines_file(tmp_path)

@@ -5,14 +5,17 @@ from conftest import line, line_at_angle, random_subspace, sample_family_with_ra
 from sumspaces import (
     CriterionNotSatisfied,
     SubspaceFamily,
+    _kernels,
     build_e_matrix,
     convergence_report,
     iterate_projection,
     linear_independence_check,
     oracle_projection,
+    orthonormalize,
     projection_matrix,
     spectral_radius,
     sum_of_projections,
+    sum_operator,
 )
 
 
@@ -168,6 +171,65 @@ class TestConvergenceReport:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             convergence_report(orthogonal_pair(), 0)
+
+
+def orthogonal_planes():
+    """Two orthogonal planes in R^6: orthonormal, but not spanning."""
+    e = np.eye(6)
+    return SubspaceFamily(6, (orthonormalize(e[:, :2]), orthonormalize(e[:, 2:4])))
+
+
+def shared_factorization_families():
+    families = [
+        pytest.param(
+            sample_family_with_radius_at_most(np.random.default_rng(seed), 0.9),
+            id=f"seed-{seed}",
+        )
+        for seed in (3, 19, 23, 61)
+    ]
+    mixed = sample_family_with_radius_at_most(
+        np.random.default_rng(8), 0.8, n_range=(4, 6), d_range=(30, 40), max_member_dim=6
+    )
+    assert len({m.dim for m in mixed.members}) > 1
+    families.append(pytest.param(mixed, id="mixed-dimensions"))
+    families.append(pytest.param(orthogonal_planes(), id="orthogonal-planes"))
+    return families
+
+
+class TestSharedFactorization:
+    """The report's readings agree with their separate factorizations."""
+
+    @pytest.fixture(params=shared_factorization_families())
+    def family(self, request):
+        return request.param
+
+    def test_frame_bounds_are_extreme_squared_singular_values(self, family):
+        rep = convergence_report(family, 5)
+        sigma = np.linalg.svd(sum_operator(family), compute_uv=False)
+        assert rep.frame_lower == pytest.approx(sigma[-1] ** 2, rel=0, abs=1e-13)
+        assert rep.frame_upper == pytest.approx(sigma[0] ** 2, rel=0, abs=1e-13)
+
+    def test_restricted_deviation_is_compressed_norm(self, family):
+        rep = convergence_report(family, 5)
+        d = family.ambient_dim
+        q = orthonormalize(sum_operator(family)).basis
+        compressed = q.T @ (sum_of_projections(family) - np.eye(d)) @ q
+        expected = np.linalg.norm(compressed, 2)
+        assert rep.a_restricted_deviation == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_errors_match_series_against_oracle(self, family):
+        n_max = 40
+        rep = convergence_report(family, n_max)
+        m = np.eye(family.ambient_dim) - sum_of_projections(family)
+        expected = _kernels.error_series(m, oracle_projection(family), n_max)
+        errors = [s.error for s in rep.steps]
+        np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
+
+    def test_orthogonal_planes_converge_at_once(self):
+        rep = convergence_report(orthogonal_planes(), 10)
+        assert rep.frame_lower == rep.frame_upper == 1.0
+        assert rep.a_restricted_deviation == 0.0
+        assert all(s.error <= 1e-14 for s in rep.steps)
 
 
 class TestLinearIndependenceCheck:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,8 @@ def test_skew_guard_rejects_nonsymmetric_factor():
     m = np.array([[0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="skew part"):
         _kernels.error_series(m, np.eye(2), 3)
+
+
+def test_zero_deviation_has_positive_zero_norm():
+    errors = _kernels.error_series(np.zeros((2, 2)), np.eye(2), 3)
+    assert [math.copysign(1.0, e) for e in errors] == [1.0] * 3
