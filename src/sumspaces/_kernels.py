@@ -5,15 +5,23 @@ multiplication; no binary powering, so the floating-point sequence is the
 one the plain iteration would produce.
 
 ``error_series`` reads the spectral norm of each step's deviation from
-its eigenvalues instead of a full SVD.  For the iteration the factor
-``m = I - A`` and the target projection are symmetric, so every deviation
-``(I - target) - m^N`` is symmetric up to roundoff and its spectral norm
-is its largest eigenvalue magnitude.  The kernel takes the eigenvalues of
-the symmetric part and guards the swap: the spectral norm is 1-Lipschitz
-in the operator norm, so the reading differs from sigma_max of the raw
-deviation by at most the norm of its skew part, which the Frobenius norm
-bounds.  When that norm exceeds ``SKEW_TOL`` the reading is not certified
-and ``NumericalError`` is raised.
+its eigenvalues instead of a full SVD.  The factor and the target must be
+symmetric, so every deviation ``(I - target) - m^N`` is symmetric up to
+roundoff and its spectral norm is its largest eigenvalue magnitude.  The
+kernel takes the eigenvalues of the symmetric part and guards the swap:
+the spectral norm is 1-Lipschitz in the operator norm, so the reading
+differs from sigma_max of the raw deviation by at most the norm of its
+skew part, which the Frobenius norm bounds.  When that norm exceeds
+``SKEW_TOL`` the reading is not certified and ``NumericalError`` is
+raised.
+
+``convergence_report`` passes the K x K factor ``I - G`` (``G = S'S``, K
+the sum of the member dimensions) with target ``I_K``, so each deviation
+is exactly ``-(I - G)^N``.  Its norm equals that of the d x d deviation
+``(I - P) - (I - A)^N``, which vanishes off the sum and is unitarily
+similar to ``-(I - G)^N`` on it.  The d x d form, with ``m = I - A`` and
+the projection ``P`` onto the sum as target, is the test oracle; the two
+cost the same when the members span the space (K = d).
 """
 
 import numpy as np

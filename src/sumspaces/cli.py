@@ -117,9 +117,14 @@ def _cmd_project(args) -> int:
     }
     if convergence is not None:
         doc |= io.convergence_section(convergence)
-    io.write_report(args.report, doc, stream=sys.stdout)
-    if convergence is not None and args.csv:
-        io.write_convergence_csv(args.csv, convergence)
+    with io.staged_outputs() as stage:
+        if args.report is not None:
+            io.write_report(stage(args.report), doc)
+        if convergence is not None and args.csv:
+            io.write_convergence_csv(stage(args.csv), convergence)
+    # stdout last: a failed file output leaves no report behind
+    if args.report is None:
+        io.write_report(None, doc, stream=sys.stdout)
     return _criterion_exit(criterion)
 
 
@@ -142,7 +147,6 @@ def _cmd_counterexample(args) -> int:
         raise ValueError("--blocks must be at least 1")
     spec = CounterexampleSpec(e, _parse_alphas(args.alpha_schedule, args.blocks))
     cf = build_counterexample(spec)
-    io.save_family(args.out, cf.family)
     try:
         record = verify_counterexample(cf, spec)
         status = EXIT_OK
@@ -150,14 +154,16 @@ def _cmd_counterexample(args) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         record = exc.record
         status = EXIT_NOT_SATISFIED
-    if args.verify:
-        doc = {
-            "verification": io.verification_section(record),
-            "spectral_radius_input": spec.input_radius,
-            "alphas": list(spec.alphas),
-            "metadata": io.report_metadata(args.ematrix),
-        }
-        io.write_report(args.verify, doc)
+    with io.staged_outputs() as stage:
+        io.save_family(stage(args.out), cf.family)
+        if args.verify:
+            doc = {
+                "verification": io.verification_section(record),
+                "spectral_radius_input": spec.input_radius,
+                "alphas": list(spec.alphas),
+                "metadata": io.report_metadata(args.ematrix),
+            }
+            io.write_report(stage(args.verify), doc)
     return status
 
 

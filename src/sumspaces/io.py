@@ -9,7 +9,10 @@ reproduces identical numbers.
 
 import hashlib
 import json
+import os
+import secrets
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -137,6 +140,41 @@ def write_report(path_or_none, doc: dict, stream=None):
             _write_json(fh, doc)
     elif stream is not None:
         _write_json(stream, doc)
+
+
+@contextmanager
+def staged_outputs():
+    """Make a command's output files appear all together or not at all.
+
+    Yields ``stage(target)``, which returns a fresh temporary path beside
+    ``target`` to write to instead.  When the block ends normally every
+    temporary is moved onto its target with ``os.replace``; when it raises,
+    or a move fails, the remaining temporaries are removed.  A symbolic
+    link is followed, so the file it points to is replaced, not the link.
+    A target that exists but is not a regular file (``/dev/null``, a pipe)
+    is returned as it is and written directly: replacing it would destroy
+    it.
+    """
+    moves = []
+
+    def stage(target):
+        real = os.path.realpath(target)
+        if os.path.exists(real) and not os.path.isfile(real):
+            return target
+        head, tail = os.path.split(real)
+        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+        moves.append((tmp, real))
+        return tmp
+
+    try:
+        yield stage
+        while moves:
+            os.replace(*moves[0])
+            moves.pop(0)
+    finally:
+        for tmp, _ in moves:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def write_convergence_csv(path, report: ConvergenceReport):

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import os
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -435,6 +436,37 @@ class TestCounterexampleCommand:
         assert code == 1
 
 
+class TestStagedOutputs:
+    def test_outputs_appear_together_on_success(self, tmp_path):
+        with io.staged_outputs() as stage:
+            for name in ("a.txt", "b.txt"):
+                Path(stage(tmp_path / name)).write_text(name)
+            assert not (tmp_path / "a.txt").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        assert (tmp_path / "b.txt").read_text() == "b.txt"
+
+    def test_failure_leaves_old_files_and_no_temporaries(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old")
+        with pytest.raises(OSError):
+            with io.staged_outputs() as stage:
+                Path(stage(tmp_path / "a.txt")).write_text("new")
+                Path(stage(tmp_path / "missing" / "b.txt")).write_text("new")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old"
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        (tmp_path / "real.txt").write_text("old")
+        (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
+        with io.staged_outputs() as stage:
+            Path(stage(tmp_path / "link.txt")).write_text("new")
+        assert (tmp_path / "link.txt").is_symlink()
+        assert (tmp_path / "real.txt").read_text() == "new"
+
+    def test_special_file_is_not_staged(self):
+        with io.staged_outputs() as stage:
+            assert stage(os.devnull) == os.devnull
+
+
 def stderr_lines(captured):
     return captured.err.splitlines()
 
@@ -447,13 +479,20 @@ class TestCommandBoundary:
         [
             ["analyze", "{family}", "--report", "{missing}/r.json"],
             ["project", "{family}", "--n-max", "3", "--csv", "{missing}/r.csv"],
+            [
+                "project", "{family}", "--n-max", "3",
+                "--report", "{tmp}/r.json", "--csv", "{missing}/r.csv",
+            ],
             ["counterexample", "{ematrix}", "--blocks", "2", "--out", "{missing}/f.json"],
             [
                 "counterexample", "{ematrix}", "--blocks", "2",
                 "--out", "{tmp}/f.json", "--verify", "{missing}/v.json",
             ],
         ],
-        ids=["analyze-report", "project-csv", "counterexample-out", "counterexample-verify"],
+        ids=[
+            "analyze-report", "project-csv", "project-report-csv",
+            "counterexample-out", "counterexample-verify",
+        ],
     )
     def test_unwritable_output_exits_one(self, tmp_path, capsys, argv):
         paths = {
@@ -464,8 +503,13 @@ class TestCommandBoundary:
         }
         paths["ematrix"].write_text('{"n": 2, "entries": [[0.0, 1.0], [1.0, 0.0]]}')
         assert main([arg.format(**paths) for arg in argv]) == 1
-        lines = stderr_lines(capsys.readouterr())
+        captured = capsys.readouterr()
+        lines = stderr_lines(captured)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        # no output, and no temporary, is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json", "sixty.json"]
+        if argv[0] == "project":
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "extra", [["--n-max", "abc"], []], ids=["non-integer", "missing"]

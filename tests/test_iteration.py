@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,11 +174,37 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report(orthogonal_pair(), 0)
 
+    def test_memory_stays_below_one_ambient_matrix(self):
+        # Three 4-dimensional members of R^2000: the report needs O(dK + K^2)
+        # memory, far below a quarter of one d x d float64 array (8 MB).
+        d = 2000
+        rng = np.random.default_rng(2)
+        f = SubspaceFamily(d, tuple(random_subspace(rng, d, 4) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            convergence_report(f, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 / 4
+
 
 def orthogonal_planes():
     """Two orthogonal planes in R^6: orthonormal, but not spanning."""
     e = np.eye(6)
     return SubspaceFamily(6, (orthonormalize(e[:, :2]), orthonormalize(e[:, 2:4])))
+
+
+def spanning_family():
+    """Members of dimensions 3, 4 and 5 spanning R^12 (K = d, r ~ 0.38).
+
+    Cut from an orthonormal basis of R^12 perturbed by 0.05 noise.
+    """
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    m = q + 0.05 * rng.normal(size=(12, 12))
+    members = tuple(orthonormalize(m[:, i:j]) for i, j in ((0, 3), (3, 7), (7, 12)))
+    return SubspaceFamily(12, members)
 
 
 def shared_factorization_families():
@@ -192,6 +220,9 @@ def shared_factorization_families():
     )
     assert len({m.dim for m in mixed.members}) > 1
     families.append(pytest.param(mixed, id="mixed-dimensions"))
+    spanning = spanning_family()
+    assert sum(m.dim for m in spanning.members) == spanning.ambient_dim
+    families.append(pytest.param(spanning, id="spanning"))
     families.append(pytest.param(orthogonal_planes(), id="orthogonal-planes"))
     return families
 
@@ -224,6 +255,17 @@ class TestSharedFactorization:
         expected = _kernels.error_series(m, oracle_projection(family), n_max)
         errors = [s.error for s in rep.steps]
         np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
+
+    def test_errors_follow_contraction_factor(self, family):
+        # The coefficient-space series has no absolute roundoff floor: the
+        # measured errors stay within a relative 1e-11 of rho^N down to
+        # rho^60 (about 1.6e-13 measured).
+        rep = convergence_report(family, 60)
+        rho = rep.a_restricted_deviation
+        errors = [s.error for s in rep.steps]
+        np.testing.assert_allclose(
+            errors, [rho**s.N for s in rep.steps], rtol=1e-11, atol=0
+        )
 
     def test_orthogonal_planes_converge_at_once(self):
         rep = convergence_report(orthogonal_planes(), 10)
