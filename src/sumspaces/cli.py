@@ -97,7 +97,11 @@ def _cmd_analyze(args) -> int:
         "criterion": io.criterion_section(report),
         "metadata": io.report_metadata(args.family),
     }
-    io.write_report(args.report, doc, stream=sys.stdout)
+    if args.report is None:
+        io.write_report(None, doc, stream=sys.stdout)
+    else:
+        with io.staged_outputs() as stage:
+            io.write_report(stage(args.report), doc)
     return _criterion_exit(report)
 
 

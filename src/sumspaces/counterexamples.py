@@ -103,7 +103,7 @@ class PairNorm:
 
 @dataclass(frozen=True)
 class CounterexampleVerification:
-    """Outcome of the four construction checks.
+    """Outcome of the five construction checks.
 
     ``pairs`` compares each measured pairwise cosine with its target
     alpha_K * e_ij.  ``combination_residuals[k]`` is the deviation of the
@@ -111,7 +111,10 @@ class CounterexampleVerification:
     1 - alpha_k.  ``sigma_min_sq`` at most ``degeneration_limit``
     (= 1 - alpha_K, up to tolerance) exhibits the degenerating frame
     bound, while ``sigma_min`` > 0 confirms the truncation itself is
-    linearly independent.
+    linearly independent.  ``sigma_min`` is the least singular value of
+    the sum operator S, read from its K diagonal n x n blocks; the fifth
+    check, that S has this block support, has no field of its own and
+    shows only as ``passed`` and the failure message.
     """
 
     pairs: tuple
@@ -201,9 +204,15 @@ def verify_counterexample(
     Verifies (a) measured pairwise cosines equal alpha_K * e_ij, (b) the
     squared norm of the c-weighted combination in each block equals
     1 - alpha_k, (c) the squared least singular value of the
-    concatenated-basis operator is at most 1 - alpha_K, and (d) it is
-    still positive.  Raises VerificationFailed naming the first violated
-    check; the exception carries the full record.
+    concatenated-basis operator S is at most 1 - alpha_K, (d) it is
+    still positive, and (e) S is block diagonal: the family has n members
+    of dimension K in R^(n*K) (n and K taken from the family) and column
+    k of every member lies on coordinates [k*n, (k+1)*n).  The singular
+    values of S are read from its K diagonal n x n blocks; only when (e)
+    fails are they taken from an SVD of the whole of S, so ``sigma_min``
+    is always the least singular value of S.  Raises VerificationFailed
+    naming the first violated check, taking (e) before (c) and (d); the
+    exception carries the full record.
     """
     e = spec.e
     n = e.n
@@ -234,8 +243,16 @@ def verify_counterexample(
                 f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
             )
 
-    svals = np.linalg.svd(sum_operator(cf.family), compute_uv=False)
-    sigma_min = float(svals[-1])
+    s = sum_operator(cf.family)
+    svals = _block_singular_values(s, cf.family)
+    if svals is None:
+        failures.append(
+            f"sum operator of {cf.family.n} members in R^{cf.family.ambient_dim} "
+            "is not block diagonal: column k of every member must lie on "
+            "coordinates [k*n, (k+1)*n) of R^(n*K)"
+        )
+        svals = np.linalg.svd(s, compute_uv=False)
+    sigma_min = float(svals.min())
     sigma_min_sq = sigma_min ** 2
     limit = 1.0 - alpha_max
     if sigma_min_sq > limit + 1e-9:
@@ -258,6 +275,27 @@ def verify_counterexample(
     if failures:
         raise VerificationFailed(failures[0], record=record)
     return record
+
+
+def _block_singular_values(s, family):
+    """Singular values of the sum operator ``s``, read from its diagonal blocks.
+
+    Column k of every member lies on coordinates [k*n, (k+1)*n), so up to
+    a column permutation ``s`` is block diagonal with K blocks of size
+    n x n, and its singular values are the union of theirs.  One batched
+    SVD of the blocks replaces the SVD of the whole nK x nK operator and
+    squares nothing.  Returns None when the family is not n members of
+    dimension K in R^(n*K), or when an entry of ``s`` lies outside the
+    blocks.
+    """
+    n, big_k = family.n, family.members[0].dim
+    if family.ambient_dim != n * big_k or any(m.dim != big_k for m in family.members):
+        return None
+    # s[k*n + j, i*K + k] is coordinate j of member i's block-k vector
+    blocks = s.reshape(big_k, n, n, big_k).diagonal(axis1=0, axis2=3)
+    if np.count_nonzero(blocks) != np.count_nonzero(s):
+        return None
+    return np.linalg.svd(blocks.transpose(2, 0, 1), compute_uv=False)
 
 
 def geometric_alphas(big_k: int) -> tuple:

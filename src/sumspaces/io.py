@@ -4,7 +4,10 @@ Family files carry spanning sets as row vectors; they are orthonormalized
 on load, so hand-written files need not be orthonormal.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it
-reproduces identical numbers.
+reproduces identical numbers.  Every JSON output goes through one writer
+that puts one vector or matrix row per line: a counterexample family file
+is about a third of the size of a fully indented one, with the same
+numbers.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .counterexamples import CounterexampleVerification
 from .criterion import CriterionReport, EMatrix
 from .iteration import ConvergenceReport
 from .subspaces import SubspaceFamily, orthonormalize
+
+# JSON containers; a container holding none of these is written on one line.
+_CONTAINERS = (dict, list, tuple)
 
 
 def load_family(path):
@@ -221,10 +228,38 @@ def _number_array(value, what):
 
 
 def _write_json(fh, doc):
-    """Stream ``doc`` to an open text handle as indented JSON plus a newline.
+    """Stream ``doc`` to an open text handle as JSON plus a newline.
 
-    ``json.dump`` writes chunk by chunk; building the whole string first
-    would hold a second copy of a large family in memory.
+    Containers that hold containers are indented by two spaces, one member
+    per line; a container with no nested container (a vector, a matrix
+    row, a convergence step) is written on one line by ``json.dumps``,
+    which takes the C encoder.  A family file therefore holds one vector
+    per line.  Keys must be strings, as in every document the package
+    writes.  The output is written container by container; building the
+    whole string first would hold a second copy of a large family in
+    memory.
     """
-    json.dump(doc, fh, indent=2)
+    _write_value(fh, doc, "\n")
     fh.write("\n")
+
+
+def _write_value(fh, value, newline):
+    """Write one JSON value; ``newline`` is a line break plus its indentation."""
+    if isinstance(value, dict):
+        children, brackets = value.values(), "{}"
+        heads = (json.dumps(key) + ": " for key in value)
+    elif isinstance(value, (list, tuple)):
+        children, brackets, heads = value, "[]", repeat("")
+    else:
+        children = ()
+    # one test per distinct item type, not per item: rows hold only floats
+    if not any(issubclass(t, _CONTAINERS) for t in {*map(type, children)}):
+        fh.write(json.dumps(value))
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for head, child in zip(heads, children):
+        fh.write(sep + head)
+        _write_value(fh, child, inner)
+        sep = "," + inner
+    fh.write(newline + brackets[1])

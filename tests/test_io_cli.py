@@ -66,6 +66,19 @@ class TestFamilyFiles:
         io.save_family(second, loaded, names=names)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_one_line_per_vector(self, tmp_path):
+        rng = np.random.default_rng(12)
+        f = SubspaceFamily(5, (random_subspace(rng, 5, 2), random_subspace(rng, 5, 1)))
+        path = tmp_path / "family.json"
+        io.save_family(path, f)
+        rows = [
+            line.strip().rstrip(",")
+            for line in path.read_text().splitlines()
+            if line.lstrip().startswith("[") and line.rstrip(",").endswith("]")
+        ]
+        expected = [v for m in f.members for v in m.basis.T.tolist()]
+        assert [json.loads(row) for row in rows] == expected
+
     def test_spanning_sets_are_orthonormalized(self, tmp_path):
         path = write_family_file(
             tmp_path / "skew.json", {"X1": [[3.0, 0.0], [1.0, 1.0]]}, 2
@@ -217,6 +230,27 @@ class TestAnalyzeCommand:
         family, _ = io.load_family(path)
         expected = spectral_radius(build_e_matrix(family))
         assert doc["criterion"]["spectral_radius"] == expected
+
+    @pytest.mark.parametrize("old", [None, '{"old": true}\n'], ids=["new", "existing"])
+    def test_interrupted_report_write_leaves_no_report(
+        self, tmp_path, capsys, monkeypatch, old
+    ):
+        path = sixty_degree_file(tmp_path)
+        report = tmp_path / "report.json"
+        if old is not None:
+            report.write_text(old)
+
+        def write_part_then_fail(fh, doc):
+            fh.write('{\n  "criterion": ')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(io, "_write_json", write_part_then_fail)
+        assert main(["analyze", str(path), "--report", str(report)]) == 1
+        assert stderr_lines(capsys.readouterr()) == ["error: No space left on device"]
+        expected = ["sixty.json"] if old is None else ["report.json", "sixty.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+        if old is not None:
+            assert report.read_text() == old
 
     def test_repeat_runs_identical(self, tmp_path):
         path = sixty_degree_file(tmp_path)
@@ -613,3 +647,35 @@ def test_cli_contract_on_generated_documents(text):
             lines = err.getvalue().splitlines()
             assert all(line.startswith(("error: ", "notice: ")) for line in lines), lines
             assert sum(line.startswith("error: ") for line in lines) <= 1
+
+
+_TRICKY_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", '\\"', "\n\t\r", "\x00\x1f", "é", "∑ σ", "😀", "\u2028"]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    _TRICKY_TEXT,
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_round_trips_generated_documents(doc):
+    out = StringIO()
+    io._write_json(out, doc)
+    text = out.getvalue()
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    assert text.endswith("\n") and not text.endswith("\n\n")

@@ -7,7 +7,10 @@ from sumspaces import (
     EMatrix,
     NotBoundary,
     NotPositiveDefinite,
+    Subspace,
+    SubspaceFamily,
     VerificationFailed,
+    CounterexampleFamily,
     build_counterexample,
     build_e_matrix,
     geometric_alphas,
@@ -208,3 +211,67 @@ class TestVerifyCounterexample:
             assert sq <= (1.0 - spec.alphas[-1]) + 1e-9
             values.append(sq)
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _stray_entry(cf):
+    """The family with one entry of member 0 moved outside its blocks."""
+    n = cf.block_vectors[0].shape[0]
+    basis = cf.family.members[0].basis.copy()
+    basis[n, 0] = 1e-12  # block-1 coordinates, column 0
+    return (Subspace(basis.shape[0], basis), *cf.family.members[1:])
+
+
+def _padded(cf):
+    """Every member embedded in one more coordinate: R^(n*K + 1)."""
+    return tuple(
+        Subspace(m.ambient_dim + 1, np.vstack([m.basis, np.zeros((1, m.dim))]))
+        for m in cf.family.members
+    )
+
+
+def _short_member(cf):
+    """Member 0 without its first block: dimensions K - 1 and K."""
+    first = cf.family.members[0]
+    return (Subspace(first.ambient_dim, first.basis[:, 1:]), *cf.family.members[1:])
+
+
+class TestBlockSingularValues:
+    """sigma(S) is read from the K diagonal n x n blocks of S."""
+
+    @pytest.mark.parametrize("n, big_k", [(2, 1), (2, 20), (3, 3), (16, 40)])
+    def test_matches_full_svd(self, n, big_k):
+        spec = CounterexampleSpec(all_equal_boundary(n), geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        full = np.linalg.svd(sum_operator(cf.family), compute_uv=False)[-1]
+        assert abs(verify_counterexample(cf, spec).sigma_min - full) <= 1e-15
+
+    @pytest.mark.parametrize("alter", [_stray_entry, _padded, _short_member])
+    def test_off_block_support_fails_with_full_sigma(self, alter):
+        spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(3))
+        cf = build_counterexample(spec)
+        members = alter(cf)
+        family = SubspaceFamily(members[0].ambient_dim, members)
+        altered = CounterexampleFamily(family, cf.block_vectors, cf.c)
+        with pytest.raises(VerificationFailed, match=r"\[k\*n, \(k\+1\)\*n\)") as exc_info:
+            verify_counterexample(altered, spec)
+        assert "not block diagonal" in str(exc_info.value)
+        record = exc_info.value.record
+        assert not record.passed
+        full = np.linalg.svd(sum_operator(family), compute_uv=False)[-1]
+        assert record.sigma_min == full
+
+    def test_no_svd_of_the_whole_operator(self, monkeypatch):
+        n, big_k = 16, 40
+        spec = CounterexampleSpec(all_equal_boundary(n), geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert verify_counterexample(cf, spec).passed
+        assert shapes
+        assert max(max(shape[-2:]) for shape in shapes) <= max(n, big_k)
