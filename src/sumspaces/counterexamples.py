@@ -201,13 +201,15 @@ def verify_counterexample(
 ) -> CounterexampleVerification:
     """Check a constructed family against its defining identities.
 
-    Verifies (a) measured pairwise cosines equal alpha_K * e_ij, (b) the
-    squared norm of the c-weighted combination in each block equals
-    1 - alpha_k, (c) the squared least singular value of the
-    concatenated-basis operator S is at most 1 - alpha_K, (d) it is
-    still positive, and (e) S is block diagonal: the family has n members
-    of dimension K in R^(n*K) (n and K taken from the family) and column
-    k of every member lies on coordinates [k*n, (k+1)*n).  The singular
+    Verifies (a) the family has one member per row of the spec's matrix
+    and measured pairwise cosines equal alpha_K * e_ij (compared over the
+    members both have), (b) the squared norm of the c-weighted
+    combination in each block equals 1 - alpha_k, (c) the squared least
+    singular value of the concatenated-basis operator S is at most
+    1 - alpha_K, (d) it is still positive, and (e) S is block diagonal:
+    the family has n members of dimension K in R^(n*K) (n and K taken
+    from the family) and column k of every member lies on coordinates
+    [k*n, (k+1)*n).  The singular
     values of S are read from its K diagonal n x n blocks; only when (e)
     fails are they taken from an SVD of the whole of S, so ``sigma_min``
     is always the least singular value of S.  Raises VerificationFailed
@@ -218,7 +220,12 @@ def verify_counterexample(
     n = e.n
     alpha_max = spec.alphas[-1]
 
-    rows, cols = np.triu_indices(n, 1)
+    failures = []
+    if cf.family.n != n:
+        failures.append(
+            f"family has {cf.family.n} members but the spec's matrix has {n} rows"
+        )
+    rows, cols = np.triu_indices(min(n, cf.family.n), 1)
     measured = build_e_matrix(cf.family).entries[rows, cols]
     target = alpha_max * e.entries[rows, cols]
     pairs = [
@@ -227,7 +234,7 @@ def verify_counterexample(
             rows.tolist(), cols.tolist(), measured.tolist(), target.tolist()
         )
     ]
-    failures = [
+    failures += [
         f"pair ({p.i},{p.j}): measured cosine {p.measured} vs target {p.target}"
         for p in pairs
         if abs(p.measured - p.target) > 1e-9

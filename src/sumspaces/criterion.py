@@ -6,6 +6,13 @@ definite, i.e. to every leading principal minor of I - E being positive;
 for three subspaces it is also equivalent to the pairwise minimal angles
 summing to more than pi.  All three formulations are computed and cross
 checked.
+
+Positive definiteness is read from one Cholesky factorization
+I - E = L L'.  Its pivots diag(L)^2 are the ratios of consecutive leading
+minors (Golub & Van Loan, Matrix Computations, sec. 4.2), so the minors
+are their running products.  The cross-check decides on the pivots, not
+on the minors: at large n the reported minors can underflow to 0 while
+the smallest pivot stays well away from zero.
 """
 
 from dataclasses import dataclass
@@ -138,9 +145,31 @@ def spectral_radius(e: EMatrix) -> float:
     return lam
 
 
+def _cholesky_pivots(g: np.ndarray) -> np.ndarray | None:
+    """Pivots diag(L)^2 of the Cholesky factor of g, or None when the
+    factorization finds g not positive definite."""
+    try:
+        return np.diag(np.linalg.cholesky(g)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+
+
 def leading_minors(e: EMatrix):
-    """Leading principal minors of I - E, for orders 1..n."""
+    """Leading principal minors of I - E, for orders 1..n.
+
+    When I - E is positive definite the minors are the running products
+    of its Cholesky pivots, one O(n^3) factorization in all.  At large n
+    they can underflow to 0.0 (on a ring with neighbour cosine 0.495 the
+    minor of order n is about 0.141^n); evaluate_criterion decides on the
+    pivots, so this does not change the verdict.
+    """
     g = np.eye(e.n) - e.entries
+    pivots = _cholesky_pivots(g)
+    if pivots is not None:
+        return np.cumprod(pivots).tolist()
+    # Cholesky stops at the first nonpositive pivot, so the signed minors
+    # of an I - E that is not positive definite come from one determinant
+    # per order, O(n^4).  Such a family fails the criterion (exit 2).
     return [float(np.linalg.det(g[:m, :m])) for m in range(1, e.n + 1)]
 
 
@@ -166,9 +195,16 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
     means a numerical bug and raises InconsistencyError.  Statistics that
     sit within 1e-12 of their own decision point are excluded from the
     cross-check (they carry no sign information at double precision).
+    For positive definiteness the statistic is the Cholesky factorization
+    of I - E: it reads positive definite when every pivot exceeds 1e-12
+    and not positive definite when the factorization fails; a smallest
+    pivot in (0, 1e-12] is excluded.  The reported minors play no part,
+    so a minor that underflows to 0 at large n leaves the check running.
     """
     r = spectral_radius(e)
     minors = leading_minors(e)
+    # factored again here, not recovered from the minors, which underflow
+    pivots = _cholesky_pivots(np.eye(e.n) - e.entries)
     angle_sum = None
     if e.n == 3 and e.entries.max() <= 1.0:
         angle_sum = _angle_sum(e)
@@ -178,11 +214,11 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
 
     if not boundary:
         by_radius = r < 1.0
-        if min(abs(m) for m in minors) > _STAT_DEAD_ZONE:
-            by_minors = all(m > 0.0 for m in minors)
-            if by_minors != by_radius:
+        if pivots is None or pivots.min() > _STAT_DEAD_ZONE:
+            by_pivots = pivots is not None
+            if by_pivots != by_radius:
                 raise InconsistencyError(
-                    f"minor test ({by_minors}) disagrees with spectral "
+                    f"Cholesky test ({by_pivots}) disagrees with spectral "
                     f"radius {r}"
                 )
         if angle_sum is not None and abs(angle_sum - np.pi) > _STAT_DEAD_ZONE:

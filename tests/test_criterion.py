@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import line, line_at_angle, random_subspace
 from sumspaces import (
     EMatrix,
+    InconsistencyError,
     NumericalError,
     SubspaceFamily,
     WrongArity,
@@ -19,6 +20,7 @@ from sumspaces import (
     spectral_radius,
     three_subspace_angle_test,
 )
+from sumspaces import criterion
 
 
 def hollow_symmetric(rng, n, scale=1.0):
@@ -26,6 +28,27 @@ def hollow_symmetric(rng, n, scale=1.0):
     upper = rng.uniform(0.0, scale, size=(n, n))
     e = np.triu(upper, k=1)
     return EMatrix(n, e + e.T)
+
+
+def ring(n, cosine=0.495):
+    """Cycle of n members whose neighbours have the given cosine: r = 2*cosine."""
+    e = np.zeros((n, n))
+    i = np.arange(n)
+    e[i, (i + 1) % n] = e[(i + 1) % n, i] = cosine
+    return EMatrix(n, e)
+
+
+def det_minors(e):
+    """Independent oracle: one determinant per leading principal minor of I - E."""
+    g = np.eye(e.n) - e.entries
+    return np.array([np.linalg.det(g[:m, :m]) for m in range(1, e.n + 1)])
+
+
+def assert_minors_match_oracle(e):
+    got, want = np.array(leading_minors(e)), det_minors(e)
+    assert got.shape == want.shape
+    resolved = np.abs(want) > 1e-300
+    np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0)
 
 
 def power_iteration_radius(a, steps=10_000, seed=0):
@@ -181,6 +204,47 @@ class TestLeadingMinors:
         e = EMatrix(4, np.zeros((4, 4)))
         np.testing.assert_array_equal(leading_minors(e), np.ones(4))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        radius=st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 3.0)),
+    )
+    def test_matches_det_oracle(self, seed, n, radius):
+        # r(E) <= 0.9 keeps I - E and its leading blocks at condition <= 19,
+        # so the minors are resolved to a few ulps; r(E) >= 1.1 makes I - E
+        # indefinite for n >= 2
+        e = hollow_symmetric(np.random.default_rng(seed), n)
+        r = spectral_radius(e)
+        if r > 0.0:
+            e = EMatrix(n, e.entries * (radius / r))
+        assert_minors_match_oracle(e)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_ring_matches_det_oracle(self, n):
+        assert_minors_match_oracle(ring(n))
+
+    def test_indefinite_minors_come_from_det(self):
+        e = EMatrix(4, 0.6 * (np.ones((4, 4)) - np.eye(4)))
+        minors = leading_minors(e)
+        assert minors[-1] < 0.0
+        np.testing.assert_array_equal(minors, det_minors(e))
+
+    def test_positive_definite_takes_no_determinant(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        leading_minors(ring(60))
+        evaluate_criterion(ring(60))
+        assert calls == []
+        leading_minors(EMatrix(2, [[0.0, 1.5], [1.5, 0.0]]))
+        assert calls == [(1, 1), (2, 2)]
+
 
 class TestAngleSumTest:
     def test_boundary_all_half_excluded(self):
@@ -225,6 +289,27 @@ class TestEvaluateCriterion:
         rep = evaluate_criterion(e)
         assert rep.boundary
         assert not rep.satisfied
+
+    @pytest.mark.parametrize("n", [60, 300, 1500])
+    def test_cross_check_runs_on_large_rings(self, n, monkeypatch):
+        # the smallest minor is about 0.141^n, inside the 1e-12 dead zone
+        # for every n here, while the smallest Cholesky pivot stays 0.141
+        monkeypatch.setattr(criterion, "spectral_radius", lambda e: 1.01)
+        with pytest.raises(InconsistencyError, match="Cholesky"):
+            evaluate_criterion(ring(n))
+
+    def test_underflowed_minor_leaves_verdict(self):
+        rep = evaluate_criterion(ring(1500))
+        assert rep.satisfied
+        assert rep.spectral_radius == pytest.approx(0.99, abs=1e-12)
+        assert rep.leading_minors[-1] == 0.0
+
+    def test_pivot_in_dead_zone_suspends_cross_check(self, monkeypatch):
+        # I - E = [[1, -c], [-c, 1]] has pivots 1 and 1 - c^2 = 2e-14
+        c = np.sqrt(1.0 - 2e-14)
+        monkeypatch.setattr(criterion, "spectral_radius", lambda e: 1.01)
+        rep = evaluate_criterion(EMatrix(2, [[0.0, c], [c, 0.0]]))
+        assert not rep.satisfied and not rep.boundary
 
     def test_randomized_equivalence_sweep(self):
         rng = np.random.default_rng(99)

@@ -201,6 +201,17 @@ class TestVerifyCounterexample:
         assert record is not None
         assert not record.passed
 
+    @pytest.mark.parametrize("built, checked", [(2, 3), (3, 2)])
+    def test_member_count_mismatch_fails_with_record(self, built, checked):
+        cf = build_counterexample(CounterexampleSpec(all_equal_boundary(built), (0.5,)))
+        spec = CounterexampleSpec(all_equal_boundary(checked), (0.5,))
+        mismatch = f"{built} members .* {checked} rows"
+        with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
+            verify_counterexample(cf, spec)
+        record = exc_info.value.record
+        assert not record.passed
+        assert len(record.pairs) == 1  # the one pair both sizes have
+
     def test_degeneration_trend(self):
         e = all_equal_boundary(2)
         values = []
