@@ -100,7 +100,7 @@ def _cmd_analyze(args) -> int:
     if args.report is None:
         io.write_report(None, doc, stream=sys.stdout)
     else:
-        with io.staged_outputs() as stage:
+        with io.staged_outputs(args.family) as stage:
             io.write_report(stage(args.report), doc)
     return _criterion_exit(report)
 
@@ -121,7 +121,7 @@ def _cmd_project(args) -> int:
     }
     if convergence is not None:
         doc |= io.convergence_section(convergence)
-    with io.staged_outputs() as stage:
+    with io.staged_outputs(args.family) as stage:
         if args.report is not None:
             io.write_report(stage(args.report), doc)
         if convergence is not None and args.csv:
@@ -158,7 +158,7 @@ def _cmd_counterexample(args) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         record = exc.record
         status = EXIT_NOT_SATISFIED
-    with io.staged_outputs() as stage:
+    with io.staged_outputs(args.ematrix) as stage:
         io.save_family(stage(args.out), cf.family)
         if args.verify:
             doc = {
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
         try:
             args = _parser().parse_args(argv)
             return args.run(args)
-        except (SumspacesError, ValueError, OSError) as exc:
+        except (SumspacesError, ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
 

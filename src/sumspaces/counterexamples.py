@@ -305,8 +305,18 @@ def _block_singular_values(s, family):
     return np.linalg.svd(blocks.transpose(2, 0, 1), compute_uv=False)
 
 
+# 1 - 2^-k is below 1.0 in double precision only up to k = 53
+GEOMETRIC_MAX_BLOCKS = 53
+
+
 def geometric_alphas(big_k: int) -> tuple:
-    """Default block schedule 1 - 2^-k for k = 1..K."""
+    """Default block schedule 1 - 2^-k for k = 1..K, with K at most 53."""
     if big_k < 1:
         raise ValueError(f"need at least one block, got {big_k}")
+    if big_k > GEOMETRIC_MAX_BLOCKS:
+        raise ValueError(
+            f"the geometric schedule allows at most {GEOMETRIC_MAX_BLOCKS} "
+            f"blocks, got {big_k}: 1 - 2^-{GEOMETRIC_MAX_BLOCKS + 1} rounds "
+            "to 1.0 in double precision"
+        )
     return tuple(1.0 - 2.0 ** -k for k in range(1, big_k + 1))

@@ -7,7 +7,10 @@ lossless at double precision, so writing a family and re-reading it
 reproduces identical numbers.  Every JSON output goes through one writer
 that puts one vector or matrix row per line: a counterexample family file
 is about a third of the size of a fully indented one, with the same
-numbers.
+numbers.  Families and cosine matrices reach the writer as float arrays,
+whose distinct values are each formatted once: a counterexample family is
+almost all ``0.0``, which is then formatted once per member, not once per
+entry.
 """
 
 import hashlib
@@ -29,7 +32,7 @@ from .iteration import ConvergenceReport
 from .subspaces import SubspaceFamily, orthonormalize
 
 # JSON containers; a container holding none of these is written on one line.
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def load_family(path):
@@ -81,7 +84,7 @@ def save_family(path, family: SubspaceFamily, names=None):
     doc = {
         "ambient_dim": family.ambient_dim,
         "subspaces": [
-            {"name": name, "vectors": member.basis.T.tolist()}
+            {"name": name, "vectors": member.basis.T}
             for name, member in zip(names, family.members)
         ],
     }
@@ -98,7 +101,7 @@ def load_ematrix(path) -> EMatrix:
 
 def save_ematrix(path, e: EMatrix):
     with open(path, "w") as fh:
-        _write_json(fh, {"n": e.n, "entries": e.entries.tolist()})
+        _write_json(fh, {"n": e.n, "entries": e.entries})
 
 
 def criterion_section(report: CriterionReport) -> dict:
@@ -150,7 +153,7 @@ def write_report(path_or_none, doc: dict, stream=None):
 
 
 @contextmanager
-def staged_outputs():
+def staged_outputs(*inputs):
     """Make a command's output files appear all together or not at all.
 
     Yields ``stage(target)``, which returns a fresh temporary path beside
@@ -160,14 +163,20 @@ def staged_outputs():
     link is followed, so the file it points to is replaced, not the link.
     A target that exists but is not a regular file (``/dev/null``, a pipe)
     is returned as it is and written directly: replacing it would destroy
-    it.
+    it.  ``stage`` raises ``ValueError`` when a target resolves to a file
+    already staged, whose first output the second would silently replace,
+    or to one of ``inputs``, the files the command reads.
     """
     moves = []
+    taken = dict.fromkeys(map(os.path.realpath, inputs), "would replace the input")
 
     def stage(target):
         real = os.path.realpath(target)
         if os.path.exists(real) and not os.path.isfile(real):
             return target
+        if real in taken:
+            raise ValueError(f"output {target} {taken[real]}")
+        taken[real] = "is named twice"
         head, tail = os.path.split(real)
         tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
         moves.append((tmp, real))
@@ -233,11 +242,13 @@ def _write_json(fh, doc):
     Containers that hold containers are indented by two spaces, one member
     per line; a container with no nested container (a vector, a matrix
     row, a convergence step) is written on one line by ``json.dumps``,
-    which takes the C encoder.  A family file therefore holds one vector
-    per line.  Keys must be strings, as in every document the package
-    writes.  The output is written container by container; building the
-    whole string first would hold a second copy of a large family in
-    memory.
+    which takes the C encoder.  A 2-D float64 array is written as its
+    ``tolist()`` would be, byte for byte, one row per line, but each
+    distinct value is formatted once (see ``_row_texts``), so a family
+    file holds one vector per line and no Python float is made per entry.
+    Keys must be strings, as in every document the package writes.  The
+    output is written container by container; building the whole string
+    first would hold a second copy of a large family in memory.
     """
     _write_value(fh, doc, "\n")
     fh.write("\n")
@@ -245,6 +256,12 @@ def _write_json(fh, doc):
 
 def _write_value(fh, value, newline):
     """Write one JSON value; ``newline`` is a line break plus its indentation."""
+    inner = newline + "  "
+    if isinstance(value, np.ndarray):
+        rows = _row_texts(value)
+        body = ("," + inner).join(rows)
+        fh.write("[" + inner + body + newline + "]" if rows else "[]")
+        return
     if isinstance(value, dict):
         children, brackets = value.values(), "{}"
         heads = (json.dumps(key) + ": " for key in value)
@@ -256,10 +273,31 @@ def _write_value(fh, value, newline):
     if not any(issubclass(t, _CONTAINERS) for t in {*map(type, children)}):
         fh.write(json.dumps(value))
         return
-    inner = newline + "  "
     sep = brackets[0] + inner
     for head, child in zip(heads, children):
         fh.write(sep + head)
         _write_value(fh, child, inner)
         sep = "," + inner
     fh.write(newline + brackets[1])
+
+
+def _row_texts(a):
+    """``json.dumps(row)`` for each row of ``a.tolist()``, for a 2-D float64 ``a``.
+
+    The entries are compared as int64 bits, so ``-0.0`` and ``0.0`` (and
+    NaNs with different payloads) stay apart.  The distinct bit patterns
+    are found with a sort (``np.unique`` would import ``numpy.ma``, +1.7 MB
+    RSS), formatted by one ``json.dumps`` of their list, which gives the C
+    encoder's text for each (``Infinity`` included), and gathered back into
+    the rows through an object array of those texts.
+    """
+    if a.ndim != 2 or a.dtype != np.float64:
+        raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array as JSON")
+    if not a.size:
+        return ["[]"] * a.shape[0]
+    bits = a.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    cells = np.array(texts, dtype=object)[np.searchsorted(distinct, bits)]
+    return ["[" + ", ".join(row) + "]" for row in cells.tolist()]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -10,9 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_subspace
-from sumspaces import SubspaceFamily, _kernels, build_e_matrix, io, spectral_radius
+from sumspaces import (
+    CounterexampleSpec,
+    EMatrix,
+    SubspaceFamily,
+    _kernels,
+    build_counterexample,
+    build_e_matrix,
+    geometric_alphas,
+    io,
+    spectral_radius,
+)
 from sumspaces.cli import main
 from sumspaces.errors import InconsistencyError, NumericalError
 
@@ -185,6 +197,45 @@ class TestEMatrixFiles:
         path.write_text(doc)
         with pytest.raises(ValueError, match="matrix file"):
             io.load_ematrix(path)
+
+
+def ring_matrix(n, cosine=0.5):
+    """Cosine ``cosine`` between cyclic neighbours: r(E) = 2 * cosine."""
+    idx = np.arange(n)
+    entries = np.zeros((n, n))
+    entries[idx, (idx + 1) % n] = entries[(idx + 1) % n, idx] = cosine
+    return entries
+
+
+class TestArrayWriter:
+    def test_signed_zeros_and_nan_payloads_keep_their_text(self):
+        payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64)
+        a = np.array([[0.0, -0.0, *payloads.view(np.float64)], [np.inf, -0.0, 0.0, 1.0]])
+        out = StringIO()
+        io._write_json(out, a)
+        assert out.getvalue() == (
+            "[\n  [0.0, -0.0, NaN, NaN],\n  [Infinity, -0.0, 0.0, 1.0]\n]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=np.float32)]
+    )
+    def test_other_arrays_rejected(self, a):
+        with pytest.raises(TypeError):
+            io._write_json(StringIO(), a)
+
+    def test_ring_family_write_allocates_no_float_per_entry(self, tmp_path):
+        # 16 members of dimension 40 in R^640: 409,600 entries, which as
+        # Python floats and lists took 13.2 MB at peak
+        spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
+        family = build_counterexample(spec).family
+        tracemalloc.start()
+        try:
+            io.save_family(tmp_path / "ring.json", family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestAnalyzeCommand:
@@ -469,6 +520,20 @@ class TestCounterexampleCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("blocks, code", [(53, 0), (54, 1)])
+    def test_geometric_schedule_block_limit(self, tmp_path, capsys, blocks, code):
+        epath = self.write_ematrix(tmp_path / "e.json", ring_matrix(4).tolist())
+        out = tmp_path / "family.json"
+        argv = ["counterexample", str(epath), "--blocks", str(blocks), "--out", str(out)]
+        assert main(argv) == code
+        assert out.exists() == (code == 0)
+        lines = stderr_lines(capsys.readouterr())
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "53 blocks" in lines[0] and "alphas" not in lines[0]
+        else:
+            assert lines == []
+
 
 class TestStagedOutputs:
     def test_outputs_appear_together_on_success(self, tmp_path):
@@ -592,6 +657,63 @@ class TestCommandBoundary:
         assert [line.split(":")[0] for line in lines] == ["notice", "error"]
         assert lines[1] == "error: subspace 'X2': vectors must be finite"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "counterexample", "{ematrix}", "--blocks", "3",
+                "--out", "{tmp}/x.json", "--verify", "{tmp}/x.json",
+            ],
+            [
+                "counterexample", "{ematrix}", "--blocks", "3",
+                "--out", "{tmp}/x.json", "--verify", "{tmp}/link.json",
+            ],
+            ["counterexample", "{ematrix}", "--blocks", "3", "--out", "{ematrix}"],
+            [
+                "project", "{family}", "--n-max", "3",
+                "--report", "{tmp}/x.json", "--csv", "{tmp}/x.json",
+            ],
+            ["project", "{family}", "--n-max", "3", "--csv", "{family}"],
+            ["analyze", "{family}", "--report", "{family}"],
+        ],
+        ids=[
+            "counterexample-out-verify", "counterexample-through-link",
+            "counterexample-input", "project-report-csv", "project-input",
+            "analyze-input",
+        ],
+    )
+    def test_colliding_outputs_exit_one(self, tmp_path, capsys, argv):
+        family = sixty_degree_file(tmp_path)
+        ematrix = tmp_path / "e.json"
+        ematrix.write_text('{"n": 2, "entries": [[0.0, 1.0], [1.0, 0.0]]}')
+        (tmp_path / "link.json").symlink_to(tmp_path / "x.json")
+        before = {p.name: p.read_bytes() for p in (family, ematrix)}
+        paths = {"family": family, "ematrix": ematrix, "tmp": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        lines = stderr_lines(captured)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+        # nothing written, no temporary left, the inputs untouched
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "e.json", "link.json", "sixty.json"
+        ]
+        assert {p.name: p.read_bytes() for p in (family, ematrix)} == before
+
+    def test_special_file_may_take_two_outputs(self, tmp_path):
+        path = sixty_degree_file(tmp_path)
+        argv = ["project", str(path), "--n-max", "3"]
+        assert main([*argv, "--report", os.devnull, "--csv", os.devnull]) == 0
+
+    def test_unallocatable_step_count_exits_one(self, tmp_path, capsys):
+        # numpy refuses the 8 PB error array at once
+        path = sixty_degree_file(tmp_path)
+        assert main(["project", str(path), "--n-max", str(10**15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = stderr_lines(captured)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_huge_vectors_analyze_quietly(self, tmp_path, capsys):
         path = write_family_file(
             tmp_path / "huge.json", {"X1": [[1e300, 0.0]], "X2": [[0.0, 1.0]]}, 2
@@ -660,8 +782,18 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=False),
     _TRICKY_TEXT,
 )
+# 2-D float64 arrays with repeated values, signed zeros, subnormals and
+# infinities, some transposed (not C-contiguous), some with no rows or columns
+_MATRICES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 5e-324, -2.5e-310, np.inf, -np.inf]),
+        st.floats(allow_nan=False),
+    ),
+)
 _DOCUMENTS = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _MATRICES, _MATRICES.map(np.transpose)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -677,5 +809,21 @@ def test_writer_round_trips_generated_documents(doc):
     out = StringIO()
     io._write_json(out, doc)
     text = out.getvalue()
-    assert json.loads(text) == json.loads(json.dumps(doc))
+    listed = _as_lists(doc)
+    assert json.loads(text) == json.loads(json.dumps(listed))
     assert text.endswith("\n") and not text.endswith("\n\n")
+    # an array is written byte for byte as its tolist() is
+    as_lists = StringIO()
+    io._write_json(as_lists, listed)
+    assert text == as_lists.getvalue()
+
+
+def _as_lists(doc):
+    """``doc`` with every array replaced by its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_as_lists, doc))
+    return doc

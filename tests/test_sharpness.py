@@ -119,6 +119,15 @@ class TestGeometricAlphas:
         with pytest.raises(ValueError):
             geometric_alphas(0)
 
+    def test_fifty_three_blocks_stay_below_one(self):
+        alphas = geometric_alphas(53)
+        assert len(alphas) == 53 and max(alphas) < 1.0
+
+    def test_fifty_four_blocks_name_the_limit(self):
+        # 1 - 2^-54 rounds to 1.0, which no block may take
+        with pytest.raises(ValueError, match="at most 53 blocks"):
+            geometric_alphas(54)
+
 
 class TestBuildCounterexample:
     def test_single_block_two_lines(self):
