@@ -98,7 +98,7 @@ def _cmd_analyze(args) -> int:
         "metadata": io.report_metadata(args.family),
     }
     if args.report is None:
-        io.write_report(None, doc, stream=sys.stdout)
+        io.write_report(None, doc)
     else:
         with io.staged_outputs(args.family) as stage:
             io.write_report(stage(args.report), doc)
@@ -128,7 +128,7 @@ def _cmd_project(args) -> int:
             io.write_convergence_csv(stage(args.csv), convergence)
     # stdout last: a failed file output leaves no report behind
     if args.report is None:
-        io.write_report(None, doc, stream=sys.stdout)
+        io.write_report(None, doc)
     return _criterion_exit(criterion)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import BOUNDARY_BAND, EMatrix, build_e_matrix, spectral_radius
+from .criterion import BOUNDARY_BAND, EMatrix, _cosine_matrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
 from .subspaces import Subspace, SubspaceFamily, _frozen_array, sum_operator
 
@@ -225,8 +225,9 @@ def verify_counterexample(
         failures.append(
             f"family has {cf.family.n} members but the spec's matrix has {n} rows"
         )
+    s = sum_operator(cf.family)
     rows, cols = np.triu_indices(min(n, cf.family.n), 1)
-    measured = build_e_matrix(cf.family).entries[rows, cols]
+    measured = _cosine_matrix(cf.family, s.T @ s).entries[rows, cols]
     target = alpha_max * e.entries[rows, cols]
     pairs = [
         PairNorm(i=i, j=j, measured=m, target=t)
@@ -250,7 +251,6 @@ def verify_counterexample(
                 f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
             )
 
-    s = sum_operator(cf.family)
     svals = _block_singular_values(s, cf.family)
     if svals is None:
         failures.append(

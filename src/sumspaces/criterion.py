@@ -7,12 +7,19 @@ for three subspaces it is also equivalent to the pairwise minimal angles
 summing to more than pi.  All three formulations are computed and cross
 checked.
 
+The cosines are cut from the one Gram matrix G = S'S of the concatenated
+bases S = [B_1 | ... | B_n]: e_ij is the top singular value of the block
+B_i'B_j of G.  Callers that already hold G (the iteration, the
+independence check, the counterexample verification) pass it in, so G is
+formed once per family.
+
 Positive definiteness is read from one Cholesky factorization
-I - E = L L'.  Its pivots diag(L)^2 are the ratios of consecutive leading
-minors (Golub & Van Loan, Matrix Computations, sec. 4.2), so the minors
-are their running products.  The cross-check decides on the pivots, not
-on the minors: at large n the reported minors can underflow to 0 while
-the smallest pivot stays well away from zero.
+I - E = L L', the only one per criterion evaluation.  Its pivots
+diag(L)^2 are the ratios of consecutive leading minors (Golub & Van Loan,
+Matrix Computations, sec. 4.2), so the minors are their running products.
+The cross-check decides on the pivots, not on the minors: at large n the
+reported minors can underflow to 0 while the smallest pivot stays well
+away from zero.
 """
 
 from dataclasses import dataclass
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NumericalError, WrongArity
-from .subspaces import SubspaceFamily, _checked_cosines, _frozen_array
+from .subspaces import SubspaceFamily, _checked_cosines, _frozen_array, sum_operator
 
 # |r(E) - 1| at or below this counts as the boundary: the criterion is
 # reported unsatisfied and the equivalence cross-check is suspended, and
@@ -83,28 +90,43 @@ def build_e_matrix(f: SubspaceFamily) -> EMatrix:
     """Measure the optimal pairwise angle cosines of a family.
 
     Every cosine is the top singular value of a cross-Gram block
-    basis_i' * basis_j.  Members are grouped by dimension; for each pair
-    of groups the blocks are cut from one product of the groups' stacked
-    bases and go through one batched SVD.  A family whose members share
-    one dimension takes one product and one SVD, and memory stays within
-    the Gram matrix of the concatenated bases whatever the dimensions.
+    basis_i' * basis_j, and every such block is a block of the one Gram
+    matrix G = S'S of the concatenated bases S = sum_operator(f).  G is
+    formed once and the cosines are cut from it, so memory stays within
+    G whatever the member dimensions.
+    """
+    s = sum_operator(f)
+    return _cosine_matrix(f, s.T @ s)
+
+
+def _cosine_matrix(f: SubspaceFamily, g: np.ndarray) -> EMatrix:
+    """E of the family whose concatenated bases have Gram matrix ``g``.
+
+    The block basis_i' basis_j of members i and j is cut from ``g`` at
+    the rows of the columns of S that member i spans and the columns of
+    those that member j spans.  Members are grouped by dimension only to
+    batch the SVDs: the blocks of each pair of groups go through one
+    values-only SVD, so a family whose members share one dimension takes
+    one SVD.
     """
     dims = np.array([m.dim for m in f.members])
     ks = sorted(set(dims.tolist()))  # np.unique imports numpy.ma, +1.7 MB RSS
     groups = [np.flatnonzero(dims == k) for k in ks]
-    stacks = [np.hstack([f.members[i].basis for i in g]) for g in groups]
+    # row q of coords[a] holds the columns of S that member groups[a][q] spans
+    starts = np.cumsum(dims) - dims
+    coords = [starts[ga][:, None] + np.arange(k) for ga, k in zip(groups, ks)]
     entries = np.zeros((f.n, f.n))
-    for a, (ga, sa) in enumerate(zip(groups, stacks)):
+    for a, ga in enumerate(groups):
         for b in range(a, len(groups)):
-            gb, sb = groups[b], stacks[b]
+            gb = groups[b]
             if a == b:
                 rows, cols = np.triu_indices(ga.size, 1)
             else:
                 rows, cols = np.indices((ga.size, gb.size)).reshape(2, -1)
             if not rows.size:
                 continue
-            blocks = (sa.T @ sb).reshape(ga.size, ks[a], gb.size, ks[b]).swapaxes(1, 2)
-            sigma = np.linalg.svd(blocks[rows, cols], compute_uv=False)[:, 0]
+            blocks = g[coords[a][rows][:, :, None], coords[b][cols][:, None, :]]
+            sigma = np.linalg.svd(blocks, compute_uv=False)[:, 0]
             entries[ga[rows], gb[cols]] = _checked_cosines(sigma)
     return EMatrix(f.n, entries + entries.T)
 
@@ -145,13 +167,22 @@ def spectral_radius(e: EMatrix) -> float:
     return lam
 
 
-def _cholesky_pivots(g: np.ndarray) -> np.ndarray | None:
-    """Pivots diag(L)^2 of the Cholesky factor of g, or None when the
-    factorization finds g not positive definite."""
+def _minors_and_pivots(e: EMatrix):
+    """(leading minors of I - E, Cholesky pivots or None), one factorization.
+
+    The pivots diag(L)^2 of I - E = L L' are None when the factorization
+    finds I - E not positive definite.
+    """
+    g = np.eye(e.n) - e.entries
     try:
-        return np.diag(np.linalg.cholesky(g)) ** 2
+        pivots = np.diag(np.linalg.cholesky(g)) ** 2
     except np.linalg.LinAlgError:
-        return None
+        # Cholesky stops at the first nonpositive pivot, so the signed
+        # minors of an I - E that is not positive definite come from one
+        # determinant per order, O(n^4).  Such a family fails the
+        # criterion (exit 2).
+        return [float(np.linalg.det(g[:m, :m])) for m in range(1, e.n + 1)], None
+    return np.cumprod(pivots).tolist(), pivots
 
 
 def leading_minors(e: EMatrix):
@@ -163,14 +194,7 @@ def leading_minors(e: EMatrix):
     minor of order n is about 0.141^n); evaluate_criterion decides on the
     pivots, so this does not change the verdict.
     """
-    g = np.eye(e.n) - e.entries
-    pivots = _cholesky_pivots(g)
-    if pivots is not None:
-        return np.cumprod(pivots).tolist()
-    # Cholesky stops at the first nonpositive pivot, so the signed minors
-    # of an I - E that is not positive definite come from one determinant
-    # per order, O(n^4).  Such a family fails the criterion (exit 2).
-    return [float(np.linalg.det(g[:m, :m])) for m in range(1, e.n + 1)]
+    return _minors_and_pivots(e)[0]
 
 
 def three_subspace_angle_test(e: EMatrix) -> bool:
@@ -200,11 +224,10 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
     and not positive definite when the factorization fails; a smallest
     pivot in (0, 1e-12] is excluded.  The reported minors play no part,
     so a minor that underflows to 0 at large n leaves the check running.
+    The minors and the pivots come from the same single factorization.
     """
     r = spectral_radius(e)
-    minors = leading_minors(e)
-    # factored again here, not recovered from the minors, which underflow
-    pivots = _cholesky_pivots(np.eye(e.n) - e.entries)
+    minors, pivots = _minors_and_pivots(e)
     angle_sum = None
     if e.n == 3 and e.entries.max() <= 1.0:
         angle_sum = _angle_sum(e)

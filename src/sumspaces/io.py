@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import secrets
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -134,8 +135,16 @@ def verification_section(record: CounterexampleVerification) -> dict:
 
 
 def report_metadata(input_path) -> dict:
-    with open(input_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    """Report metadata; ``input_sha256`` is the digest of the input file.
+
+    It is None when the input is not a regular file after following
+    links (a pipe, ``/dev/stdin``): the loader has consumed such an input,
+    and reading it again would hash nothing.
+    """
+    digest = None
+    if os.path.isfile(input_path):
+        with open(input_path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "input_sha256": digest,
         "tool_version": __version__,
@@ -143,13 +152,13 @@ def report_metadata(input_path) -> dict:
     }
 
 
-def write_report(path_or_none, doc: dict, stream=None):
-    """Write a report to a file, or to the stream when no path is given."""
-    if path_or_none is not None:
+def write_report(path_or_none, doc: dict):
+    """Write a report to a file, or to standard output when no path is given."""
+    if path_or_none is None:
+        _write_json(sys.stdout, doc)
+    else:
         with open(path_or_none, "w") as fh:
             _write_json(fh, doc)
-    elif stream is not None:
-        _write_json(stream, doc)
 
 
 @contextmanager

@@ -18,6 +18,10 @@ column rank (G has no kernel).  So the error at step N is ||(I - G)^N||_2,
 and the chain of the K x K factor I - G is walked instead of the d x d
 factor I - A: memory O(dK + K^2) instead of O(d^2).  There is no gain
 when the members span the whole space (K = d).
+
+S and G are formed once per family: the criterion's cosine matrix is cut
+from the same G whose factor I - G the series iterates, and the
+independence check reads sigma_min and the cosines from one S.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .criterion import CriterionReport, build_e_matrix, evaluate_criterion, spectral_radius
+from .criterion import CriterionReport, _cosine_matrix, evaluate_criterion, spectral_radius
 from .errors import CriterionNotSatisfied, InconsistencyError
 from .subspaces import SubspaceFamily, orthonormalize, sum_operator
 
@@ -118,7 +122,9 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    report = evaluate_criterion(build_e_matrix(f))
+    s = sum_operator(f)
+    g = _outer(s.T)
+    report = evaluate_criterion(_cosine_matrix(f, g))
     if not report.satisfied:
         raise CriterionNotSatisfied(
             f"spectral radius {report.spectral_radius} is not below 1; "
@@ -127,15 +133,13 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
         )
     r = report.spectral_radius
 
-    s = sum_operator(f)
     # r < 1 certifies sigma_min^2 >= 1 - r > 0: S has full column rank.
     sigma = np.linalg.svd(s, compute_uv=False)
     frame_lower, frame_upper = float(sigma[-1] ** 2), float(sigma[0] ** 2)
 
-    # The chain of I - G in coefficient space; its target is I_K, so each
-    # step's deviation is exactly -(I - G)^N.
-    k = s.shape[1]
-    errors = _kernels.error_series(np.eye(k) - _outer(s.T), np.eye(k), n_max)
+    # The chain of I - G in coefficient space: the error at step N is
+    # ||(I - G)^N||_2.
+    errors = _kernels.error_series(np.eye(s.shape[1]) - g, n_steps=n_max)
     steps = tuple(
         ConvergenceStep(N=i + 1, error=float(errors[i]), bound=r ** (i + 1))
         for i in range(n_max)
@@ -157,9 +161,10 @@ def linear_independence_check(f: SubspaceFamily):
     proxy.  When the spectral criterion holds, sigma_min must also respect
     the frame lower bound sqrt(1 - r).
     """
-    svals = np.linalg.svd(sum_operator(f), compute_uv=False)
+    s = sum_operator(f)
+    svals = np.linalg.svd(s, compute_uv=False)
     sigma_min = float(svals[-1])
-    r = spectral_radius(build_e_matrix(f))
+    r = spectral_radius(_cosine_matrix(f, s.T @ s))
     if r < 1.0 and sigma_min < np.sqrt(1.0 - r) - 1e-9:
         raise InconsistencyError(
             f"sigma_min {sigma_min} violates the frame bound "

@@ -298,6 +298,19 @@ class TestEvaluateCriterion:
         with pytest.raises(InconsistencyError, match="Cholesky"):
             evaluate_criterion(ring(n))
 
+    def test_one_cholesky_per_evaluation(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        rep = evaluate_criterion(ring(60))
+        assert rep.satisfied
+        assert calls == [(60, 60)]
+
     def test_underflowed_minor_leaves_verdict(self):
         rep = evaluate_criterion(ring(1500))
         assert rep.satisfied

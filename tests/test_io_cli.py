@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -246,6 +247,26 @@ class TestAnalyzeCommand:
         assert doc["criterion"]["satisfied"] is True
         assert doc["criterion"]["spectral_radius"] == 0.0
 
+    def test_piped_input_has_no_digest(self, tmp_path, capsys):
+        # the loader consumes a pipe, so there is nothing left to hash
+        text = orthogonal_lines_file(tmp_path).read_bytes()
+        r, w = os.pipe()
+        os.write(w, text)
+        os.close(w)
+        try:
+            assert main(["analyze", f"/dev/fd/{r}"]) == 0
+        finally:
+            os.close(r)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["metadata"]["input_sha256"] is None
+
+    def test_regular_input_digest_is_sha256_of_its_bytes(self, tmp_path, capsys):
+        path = orthogonal_lines_file(tmp_path)
+        assert main(["analyze", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert doc["metadata"]["input_sha256"] == expected
+
     def test_duplicate_subspace_boundary_exit(self, tmp_path):
         path = write_family_file(
             tmp_path / "dup.json", {"X1": [[1.0, 0.0]], "X2": [[1.0, 0.0]]}, 2
@@ -396,7 +417,7 @@ class TestProjectCommand:
     def test_iteration_error_exits_one_with_one_line(
         self, tmp_path, capsys, monkeypatch, error
     ):
-        def failing_series(m, target, n_steps):
+        def failing_series(m, n_steps):
             raise error("deviation is not symmetric")
 
         monkeypatch.setattr(_kernels, "error_series", failing_series)

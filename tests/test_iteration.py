@@ -7,9 +7,9 @@ from conftest import line, line_at_angle, random_subspace, sample_family_with_ra
 from sumspaces import (
     CriterionNotSatisfied,
     SubspaceFamily,
-    _kernels,
     build_e_matrix,
     convergence_report,
+    evaluate_criterion,
     iterate_projection,
     linear_independence_check,
     oracle_projection,
@@ -248,11 +248,27 @@ class TestSharedFactorization:
         expected = np.linalg.norm(compressed, 2)
         assert rep.a_restricted_deviation == pytest.approx(expected, rel=0, abs=1e-13)
 
+    def test_criterion_matches_separate_e_matrix(self, family):
+        # the report cuts E from the Gram matrix it iterates with
+        rep = convergence_report(family, 5)
+        alone = evaluate_criterion(build_e_matrix(family))
+        assert rep.criterion.spectral_radius == pytest.approx(
+            alone.spectral_radius, rel=0, abs=1e-15
+        )
+        np.testing.assert_allclose(
+            rep.criterion.leading_minors, alone.leading_minors, rtol=0, atol=1e-15
+        )
+
     def test_errors_match_series_against_oracle(self, family):
         n_max = 40
         rep = convergence_report(family, n_max)
-        m = np.eye(family.ambient_dim) - sum_of_projections(family)
-        expected = _kernels.error_series(m, oracle_projection(family), n_max)
+        d = family.ambient_dim
+        base = np.eye(d) - oracle_projection(family)
+        m = np.eye(d) - sum_of_projections(family)
+        expected = [
+            spectral_norm(base - np.linalg.matrix_power(m, n))
+            for n in range(1, n_max + 1)
+        ]
         errors = [s.error for s in rep.steps]
         np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
 

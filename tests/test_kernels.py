@@ -26,9 +26,8 @@ def test_power_chain_matches_matrix_power():
 def test_error_series_matches_eigendecomposition_oracle():
     rng = np.random.default_rng(1)
     m = random_contraction(rng, 10)
-    target = np.eye(10)
     n_steps = 25
-    errors = _kernels.error_series(m, target, n_steps)
+    errors = _kernels.error_series(m, n_steps)
     w = np.linalg.eigvalsh(m)
     magnitudes = np.abs(w)
     expected = [magnitudes.max() ** n for n in range(1, n_steps + 1)]
@@ -36,45 +35,42 @@ def test_error_series_matches_eigendecomposition_oracle():
 
 
 def test_error_series_matches_spectral_norm_oracle():
-    # The iteration's setting: m = I - A is the identity off the range of
-    # the target projection and a contraction on it.  The most negative
-    # eigenvalue of m has the largest magnitude, so on even steps the
-    # deviation's norm is its most negative eigenvalue.
+    # The iteration's setting: m = I - G is a contraction on the
+    # coefficient space.  The most negative eigenvalue of m has the
+    # largest magnitude, so on odd steps the power's norm is its most
+    # negative eigenvalue.
     rng = np.random.default_rng(3)
-    d, k = 12, 7
-    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    spectrum = np.concatenate([[-0.6, 0.5], rng.uniform(-0.4, 0.4, k - 2), np.ones(d - k)])
+    k = 7
+    q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    spectrum = np.concatenate([[-0.6, 0.5], rng.uniform(-0.4, 0.4, k - 2)])
     m = (q * spectrum) @ q.T
     m = np.ascontiguousarray((m + m.T) / 2.0)
-    target = q[:, :k] @ q[:, :k].T
-    target = np.ascontiguousarray((target + target.T) / 2.0)
     n_steps = 90  # 0.6^90 is far below the roundoff floor
 
-    errors = _kernels.error_series(m, target, n_steps)
+    errors = _kernels.error_series(m, n_steps)
 
-    base = np.eye(d) - target
-    deviations = [base - np.linalg.matrix_power(m, n) for n in range(1, n_steps + 1)]
-    expected = [np.linalg.norm(dev, 2) for dev in deviations]
+    powers = [np.linalg.matrix_power(m, n) for n in range(1, n_steps + 1)]
+    expected = [np.linalg.norm(p, 2) for p in powers]
     np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
     assert errors[-1] < 1e-13
     # both sides of the spectrum decide some steps
-    extremes = [np.linalg.eigvalsh(dev)[[0, -1]] for dev in deviations[:20]]
+    extremes = [np.linalg.eigvalsh(p)[[0, -1]] for p in powers[:20]]
     negative_wins = [-lo > hi for lo, hi in extremes]
     assert any(negative_wins) and not all(negative_wins)
 
 
 def test_error_series_exact_small_case():
     m = np.array([[0.0, 0.5], [0.5, 0.0]])
-    errors = _kernels.error_series(m, np.eye(2), 3)
+    errors = _kernels.error_series(m, 3)
     assert errors[-1] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_skew_guard_rejects_nonsymmetric_factor():
     m = np.array([[0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(NumericalError, match="skew part"):
-        _kernels.error_series(m, np.eye(2), 3)
+        _kernels.error_series(m, 3)
 
 
 def test_zero_deviation_has_positive_zero_norm():
-    errors = _kernels.error_series(np.zeros((2, 2)), np.eye(2), 3)
+    errors = _kernels.error_series(np.zeros((2, 2)), 3)
     assert [math.copysign(1.0, e) for e in errors] == [1.0] * 3
