@@ -107,7 +107,10 @@ def _cosine_matrix(f: SubspaceFamily, g: np.ndarray) -> EMatrix:
     those that member j spans.  Members are grouped by dimension only to
     batch the SVDs: the blocks of each pair of groups go through one
     values-only SVD, so a family whose members share one dimension takes
-    one SVD.
+    one SVD.  Pairs of lines take none: their 1 x 1 blocks' singular
+    values are the magnitudes |g_ij|, bit for bit what the SVD returns.
+    A line against a k-plane stays on the SVD, whose result differs from
+    the vector norm in the last bits.
     """
     dims = np.array([m.dim for m in f.members])
     ks = sorted(set(dims.tolist()))  # np.unique imports numpy.ma, +1.7 MB RSS
@@ -125,8 +128,12 @@ def _cosine_matrix(f: SubspaceFamily, g: np.ndarray) -> EMatrix:
                 rows, cols = np.indices((ga.size, gb.size)).reshape(2, -1)
             if not rows.size:
                 continue
-            blocks = g[coords[a][rows][:, :, None], coords[b][cols][:, None, :]]
-            sigma = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+            if ks[a] == ks[b] == 1:
+                # two lines: the 1 x 1 block's singular value is |g_ij|
+                sigma = np.abs(g[coords[a][rows, 0], coords[b][cols, 0]])
+            else:
+                blocks = g[coords[a][rows][:, :, None], coords[b][cols][:, None, :]]
+                sigma = np.linalg.svd(blocks, compute_uv=False)[:, 0]
             entries[ga[rows], gb[cols]] = _checked_cosines(sigma)
     return EMatrix(f.n, entries + entries.T)
 

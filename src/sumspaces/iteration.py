@@ -5,23 +5,35 @@ I - (I - A)^N converge to the orthogonal projection P onto the sum of the
 members whenever the spectral criterion holds, and the operator-norm error
 at step N is at most r^N where r is the spectral radius of the angle
 cosine matrix.  The iterates are built by successive multiplication with
-the fixed factor I - A; the eigendecomposition route is reserved for test
-oracles.
+the fixed factor I - A.
 
-``convergence_report`` measures the errors without forming a d x d
+``convergence_report`` computes the errors without forming a d x d
 matrix.  With S = [B_1 | ... | B_n] (d x K, K the sum of the member
 dimensions) and G = S'S, A = SS' and (I - A)^N = I + S C_N S' for a K x K
 polynomial C_N in G (the push-through identity).  The error
 (I - A)^N - (I - P) vanishes off the sum, and on the sum I - A is
 unitarily similar to I - G, because a certified criterion gives S full
 column rank (G has no kernel).  So the error at step N is ||(I - G)^N||_2,
-and the chain of the K x K factor I - G is walked instead of the d x d
-factor I - A: memory O(dK + K^2) instead of O(d^2).  There is no gain
-when the members span the whole space (K = d).
+and since I - G is symmetric that is exactly rho^N with
+rho = max_i |1 - lambda_i(G)|: the errors, the frame bounds and rho all
+come from one eigvalsh(G), in O(dK + K^2) memory.
+
+This closed form is at least as trustworthy as walking the chain.
+eigvalsh is backward stable: its eigenvalues are the exact ones of a
+symmetric G + dG with ||dG|| a small multiple of the unit roundoff times
+||G||, and fl(G) is within about gamma_d ||S||^2 of S'S (Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, sec. 3.5).  By Weyl's
+inequality no eigenvalue, hence neither rho nor a frame bound, moves by
+more than the sum of those perturbations.  The step-by-step chain has no
+such a-priori bound, and its roundoff grows with N.  Both chains stay as
+oracles: the d x d chain of I - A in iterate_projection, and the K x K
+chain of I - G in the tests.
 
 S and G are formed once per family: the criterion's cosine matrix is cut
-from the same G whose factor I - G the series iterates, and the
-independence check reads sigma_min and the cosines from one S.
+from the same G whose eigenvalues give the series, and the independence
+check reads sigma_min and the cosines from one S.  That check keeps its
+SVD of S: it must tell a sigma_min of about 1e-12 from zero, which
+sigma_min^2 = lambda_min(G) cannot.
 """
 
 from dataclasses import dataclass
@@ -47,22 +59,21 @@ class ConvergenceStep:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Measured iteration errors against the certified geometric bound.
+    """Iteration errors against the certified geometric bound.
 
     ``criterion`` is the report of the spectral test that certified the
     bound; ``r`` is its spectral radius.  ``steps[i]`` holds the
     operator-norm distance of the N=i+1 iterate from the projection onto
-    the sum together with the bound r^N.  The distance is measured, not
-    computed from a closed form: it is the largest eigenvalue magnitude of
-    (I - G)^N with G = S'S, built by N successive K x K multiplications,
-    which equals the d x d distance because the deviation vanishes off
-    the sum and I - A on the sum is unitarily similar to I - G.
-    ``frame_lower``/``frame_upper`` are the extreme squared singular
-    values sigma_min^2, sigma_max^2 of the concatenated-basis operator S;
-    they lie in [1-r, 1+r] up to roundoff.  ``a_restricted_deviation`` is
-    the norm of A - I restricted to the sum,
-    max(1 - sigma_min^2, sigma_max^2 - 1), which is at most r.  It is the
-    exact contraction factor: the error at step N is its N-th power.
+    the sum together with the bound r^N.  The distance is computed in
+    closed form: it is ||(I - G)^N||_2 = rho^N with G = S'S, which equals
+    the d x d distance because the deviation vanishes off the sum and
+    I - A on the sum is unitarily similar to I - G.
+    ``frame_lower``/``frame_upper`` are the extreme eigenvalues of G, the
+    squared singular values sigma_min^2, sigma_max^2 of the
+    concatenated-basis operator S; they lie in [1-r, 1+r] up to roundoff.
+    ``a_restricted_deviation`` is rho, the norm of A - I restricted to the
+    sum, max(1 - sigma_min^2, sigma_max^2 - 1), which is at most r.  It is
+    the exact contraction factor: the error at step N is its N-th power.
     """
 
     criterion: CriterionReport
@@ -133,13 +144,13 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
         )
     r = report.spectral_radius
 
-    # r < 1 certifies sigma_min^2 >= 1 - r > 0: S has full column rank.
-    sigma = np.linalg.svd(s, compute_uv=False)
-    frame_lower, frame_upper = float(sigma[-1] ** 2), float(sigma[0] ** 2)
-
-    # The chain of I - G in coefficient space: the error at step N is
-    # ||(I - G)^N||_2.
-    errors = _kernels.error_series(np.eye(s.shape[1]) - g, n_steps=n_max)
+    # r < 1 certifies lambda_min(G) = sigma_min^2 >= 1 - r > 0.  I - G is
+    # symmetric, so ||(I - G)^N||_2 = rho^N with rho its largest
+    # eigenvalue magnitude.  The series is allocated in one numpy call, so
+    # an unallocatable n_max fails here at once with MemoryError.
+    lam = np.linalg.eigvalsh(g)
+    rho = max(1.0 - lam[0], lam[-1] - 1.0)
+    errors = rho ** np.arange(1.0, n_max + 1)
     steps = tuple(
         ConvergenceStep(N=i + 1, error=float(errors[i]), bound=r ** (i + 1))
         for i in range(n_max)
@@ -147,9 +158,9 @@ def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     return ConvergenceReport(
         criterion=report,
         steps=steps,
-        frame_lower=frame_lower,
-        frame_upper=frame_upper,
-        a_restricted_deviation=max(1.0 - frame_lower, frame_upper - 1.0),
+        frame_lower=float(lam[0]),
+        frame_upper=float(lam[-1]),
+        a_restricted_deviation=float(rho),
     )
 
 

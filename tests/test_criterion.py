@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line, line_at_angle, random_subspace
+from oracles import svd_cosine_matrix
 from sumspaces import (
     EMatrix,
     InconsistencyError,
@@ -126,6 +127,18 @@ class TestBuildEMatrix:
             ]
         )
         np.testing.assert_allclose(build_e_matrix(f).entries, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "dims", [[1] * 40, [1] * 20 + [2] * 8 + [3] * 4], ids=["lines", "lines-and-planes"]
+    )
+    def test_line_pairs_match_svd_path(self, dims):
+        # two lines read |g_ij| instead of an SVD, bit for bit the same
+        rng = np.random.default_rng(11)
+        d = 30
+        f = SubspaceFamily(d, tuple(random_subspace(rng, d, k) for k in dims))
+        np.testing.assert_array_equal(
+            build_e_matrix(f).entries, svd_cosine_matrix(f).entries
+        )
 
     def test_mixed_dimensions_keep_memory_within_gram_size(self):
         # many lines plus one member with k = d: padding every member to

@@ -19,7 +19,6 @@ from sumspaces import (
     CounterexampleSpec,
     EMatrix,
     SubspaceFamily,
-    _kernels,
     build_counterexample,
     build_e_matrix,
     geometric_alphas,
@@ -417,10 +416,11 @@ class TestProjectCommand:
     def test_iteration_error_exits_one_with_one_line(
         self, tmp_path, capsys, monkeypatch, error
     ):
-        def failing_series(m, n_steps):
+        def failing_eigvalsh(a, UPLO="L"):
             raise error("deviation is not symmetric")
 
-        monkeypatch.setattr(_kernels, "error_series", failing_series)
+        # the one eigensolve of G that the errors and frame bounds come from
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         path = sixty_degree_file(tmp_path)
         report = tmp_path / "report.json"
         assert main(["project", str(path), "--n-max", "5", "--report", str(report)]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import line, line_at_angle, random_subspace, sample_family_with_radius_at_most
+from oracles import error_series
 from sumspaces import (
     CriterionNotSatisfied,
     SubspaceFamily,
@@ -144,6 +145,22 @@ class TestConvergenceReport:
         assert rep.frame_upper <= 1.0 + rep.r + 1e-9
         assert rep.a_restricted_deviation <= rep.r + 1e-9
 
+    def test_lower_spectrum_sets_contraction_factor(self):
+        # Three lines of R^3 with pairwise inner products -0.3: G has
+        # eigenvalues 0.4 and 1.3 (twice), so the bottom of the spectrum
+        # decides rho = 0.6, which here equals r.
+        gram = np.full((3, 3), -0.3) + 1.3 * np.eye(3)
+        rows = np.linalg.cholesky(gram)
+        f = SubspaceFamily(3, tuple(line(*row) for row in rows))
+        rep = convergence_report(f, 30)
+        assert rep.frame_lower == pytest.approx(0.4, rel=0, abs=1e-14)
+        assert rep.frame_upper == pytest.approx(1.3, rel=0, abs=1e-14)
+        assert rep.a_restricted_deviation == pytest.approx(0.6, rel=0, abs=1e-14)
+        expected = error_series(np.eye(3) - gram, 30)
+        np.testing.assert_allclose(
+            [s.error for s in rep.steps], expected, rtol=1e-12, atol=0
+        )
+
     def test_errors_monotone(self):
         rng = np.random.default_rng(77)
         f = sample_family_with_radius_at_most(rng, 0.95)
@@ -273,15 +290,16 @@ class TestSharedFactorization:
         np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-13)
 
     def test_errors_follow_contraction_factor(self, family):
-        # The coefficient-space series has no absolute roundoff floor: the
-        # measured errors stay within a relative 1e-11 of rho^N down to
-        # rho^60 (about 1.6e-13 measured).
-        rep = convergence_report(family, 60)
-        rho = rep.a_restricted_deviation
-        errors = [s.error for s in rep.steps]
-        np.testing.assert_allclose(
-            errors, [rho**s.N for s in rep.steps], rtol=1e-11, atol=0
-        )
+        # The closed form rho^N against the K x K chain of I - G walked
+        # step by step: neither has an absolute roundoff floor, so they
+        # agree to a relative 1e-11 down to rho^60.
+        n_max = 60
+        rep = convergence_report(family, n_max)
+        s = sum_operator(family)
+        g = s.T @ s
+        expected = error_series(np.eye(g.shape[0]) - (g + g.T) / 2.0, n_max)
+        errors = [step.error for step in rep.steps]
+        np.testing.assert_allclose(errors, expected, rtol=1e-11, atol=0)
 
     def test_orthogonal_planes_converge_at_once(self):
         rep = convergence_report(orthogonal_planes(), 10)
