@@ -18,7 +18,13 @@ import numpy as np
 
 from .criterion import BOUNDARY_BAND, EMatrix, _cosine_matrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
-from .subspaces import Subspace, SubspaceFamily, _frozen_array, sum_operator
+from .subspaces import (
+    Subspace,
+    SubspaceFamily,
+    _checked_cosines,
+    _frozen_array,
+    sum_operator,
+)
 
 # Entrywise tolerance on the per-block Gram factorization residual.
 GRAM_TOL = 1e-10
@@ -112,9 +118,11 @@ class CounterexampleVerification:
     (= 1 - alpha_K, up to tolerance) exhibits the degenerating frame
     bound, while ``sigma_min`` > 0 confirms the truncation itself is
     linearly independent.  ``sigma_min`` is the least singular value of
-    the sum operator S, read from its K diagonal n x n blocks; the fifth
-    check, that S has this block support, has no field of its own and
-    shows only as ``passed`` and the failure message.
+    the sum operator S.  When S has the block support of the fifth check,
+    the cosines and the singular values are both read from its K
+    diagonal n x n blocks; otherwise from S and its Gram matrix.  That
+    check has no field of its own and shows only as ``passed`` and the
+    failure message.
     """
 
     pairs: tuple
@@ -209,10 +217,15 @@ def verify_counterexample(
     1 - alpha_K, (d) it is still positive, and (e) S is block diagonal:
     the family has n members of dimension K in R^(n*K) (n and K taken
     from the family) and column k of every member lies on coordinates
-    [k*n, (k+1)*n).  The singular
-    values of S are read from its K diagonal n x n blocks; only when (e)
-    fails are they taken from an SVD of the whole of S, so ``sigma_min``
-    is always the least singular value of S.  Raises VerificationFailed
+    [k*n, (k+1)*n).  Everything is measured from ``cf.family``, not from
+    ``cf.block_vectors``.  When (e) holds, every cross-Gram block
+    B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k the k-th diagonal
+    n x n block of S, so the cosines are max_k |(V_k'V_k)_ij| from one
+    batched product and the singular values come from one batched SVD
+    of the blocks: neither S nor its nK x nK Gram matrix is formed.
+    Only when (e) fails are the cosines cut from S'S and the singular
+    values taken from an SVD of the whole of S, so ``sigma_min`` is
+    always the least singular value of S.  Raises VerificationFailed
     naming the first violated check, taking (e) before (c) and (d); the
     exception carries the full record.
     """
@@ -225,9 +238,14 @@ def verify_counterexample(
         failures.append(
             f"family has {cf.family.n} members but the spec's matrix has {n} rows"
         )
-    s = sum_operator(cf.family)
     rows, cols = np.triu_indices(min(n, cf.family.n), 1)
-    measured = _cosine_matrix(cf.family, s.T @ s).entries[rows, cols]
+    blocks = _diagonal_blocks(cf.family)
+    if blocks is None:
+        s = sum_operator(cf.family)
+        measured = _cosine_matrix(cf.family, s.T @ s).entries[rows, cols]
+    else:
+        grams = blocks.transpose(0, 2, 1) @ blocks
+        measured = _checked_cosines(np.abs(grams[:, rows, cols]).max(axis=0))
     target = alpha_max * e.entries[rows, cols]
     pairs = [
         PairNorm(i=i, j=j, measured=m, target=t)
@@ -251,14 +269,15 @@ def verify_counterexample(
                 f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
             )
 
-    svals = _block_singular_values(s, cf.family)
-    if svals is None:
+    if blocks is None:
         failures.append(
             f"sum operator of {cf.family.n} members in R^{cf.family.ambient_dim} "
             "is not block diagonal: column k of every member must lie on "
             "coordinates [k*n, (k+1)*n) of R^(n*K)"
         )
         svals = np.linalg.svd(s, compute_uv=False)
+    else:
+        svals = np.linalg.svd(blocks, compute_uv=False)
     sigma_min = float(svals.min())
     sigma_min_sq = sigma_min ** 2
     limit = 1.0 - alpha_max
@@ -284,25 +303,31 @@ def verify_counterexample(
     return record
 
 
-def _block_singular_values(s, family):
-    """Singular values of the sum operator ``s``, read from its diagonal blocks.
+def _diagonal_blocks(family):
+    """The K diagonal n x n blocks of the family's sum operator, or None.
 
-    Column k of every member lies on coordinates [k*n, (k+1)*n), so up to
-    a column permutation ``s`` is block diagonal with K blocks of size
-    n x n, and its singular values are the union of theirs.  One batched
-    SVD of the blocks replaces the SVD of the whole nK x nK operator and
-    squares nothing.  Returns None when the family is not n members of
-    dimension K in R^(n*K), or when an entry of ``s`` lies outside the
-    blocks.
+    When column k of every member lies on coordinates [k*n, (k+1)*n), the
+    sum operator S is block diagonal up to a column permutation, and
+    block k is the n x n matrix V_k whose column i is member i's block-k
+    vector.  Returns them as one (K, n, n) array, stacked from the member
+    bases without forming S.  Returns None when the family is not n
+    members of dimension K in R^(n*K), or when a basis entry lies
+    outside the blocks.
     """
     n, big_k = family.n, family.members[0].dim
     if family.ambient_dim != n * big_k or any(m.dim != big_k for m in family.members):
         return None
-    # s[k*n + j, i*K + k] is coordinate j of member i's block-k vector
-    blocks = s.reshape(big_k, n, n, big_k).diagonal(axis1=0, axis2=3)
-    if np.count_nonzero(blocks) != np.count_nonzero(s):
+    # basis[k*n + j, k] of member i is coordinate j of its block-k vector,
+    # which lands at blocks[k, j, i]
+    blocks = np.stack(
+        [m.basis.reshape(big_k, n, big_k).diagonal(axis1=0, axis2=2).T
+         for m in family.members],
+        axis=-1,
+    )
+    nonzero = sum(np.count_nonzero(m.basis) for m in family.members)
+    if np.count_nonzero(blocks) != nonzero:
         return None
-    return np.linalg.svd(blocks.transpose(2, 0, 1), compute_uv=False)
+    return blocks
 
 
 # 1 - 2^-k is below 1.0 in double precision only up to k = 53

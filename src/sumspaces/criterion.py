@@ -9,9 +9,11 @@ checked.
 
 The cosines are cut from the one Gram matrix G = S'S of the concatenated
 bases S = [B_1 | ... | B_n]: e_ij is the top singular value of the block
-B_i'B_j of G.  Callers that already hold G (the iteration, the
-independence check, the counterexample verification) pass it in, so G is
-formed once per family.
+B_i'B_j of G.  Callers that already hold G (the iteration and the
+independence check) pass it in, so G is formed once per family.  The
+counterexample verification forms G only for a family that fails its
+block-support check; otherwise it reads the cosines from the K diagonal
+blocks of S.
 
 Positive definiteness is read from one Cholesky factorization
 I - E = L L', the only one per criterion evaluation.  Its pivots
@@ -60,8 +62,9 @@ class EMatrix:
             raise ValueError("entries must be symmetric")
         if entries.min() < -_ENTRY_TOL:
             raise ValueError("entries must be nonnegative")
-        # canonicalize: exact symmetry, exact zeros where only noise was
-        entries = (entries + entries.T) / 2.0
+        # canonicalize: exact symmetry, exact zeros where only noise was;
+        # halving before adding keeps entries near the float limit finite
+        entries = entries / 2.0 + entries.T / 2.0
         np.fill_diagonal(entries, 0.0)
         entries[entries < 0.0] = 0.0
         object.__setattr__(self, "entries", _frozen_array(entries))
@@ -160,13 +163,21 @@ def e_matrix_with_bounds(f: SubspaceFamily, bounds) -> EMatrix:
 def spectral_radius(e: EMatrix) -> float:
     """Largest eigenvalue of E, which equals its spectral radius.
 
-    The returned eigenpair is residual-checked against the matrix.
+    The returned eigenpair is residual-checked against the matrix.  A
+    radius beyond the largest double raises NumericalError.
     """
     w, v = np.linalg.eigh(e.entries)
     lam = float(w[-1])
-    vec = v[:, -1]
-    resid = float(np.linalg.norm(e.entries @ vec - lam * vec))
     scale = float(np.abs(e.entries).max())
+    if not np.isfinite(lam):
+        raise NumericalError(
+            f"spectral radius overflows double precision (largest entry {scale:.3e})"
+        )
+    vec = v[:, -1]
+    res = e.entries @ vec - lam * vec
+    # scaled by its largest entry, so squaring inside norm cannot overflow
+    top = float(np.abs(res).max())
+    resid = top * float(np.linalg.norm(res / top)) if top > 0.0 else 0.0
     if resid > 1e-10 * e.n * max(scale, 1e-300):
         raise NumericalError(
             f"eigenpair residual {resid:.3e} out of tolerance"

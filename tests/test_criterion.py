@@ -94,6 +94,11 @@ class TestEMatrixValidation:
         with pytest.raises(ValueError, match="finite"):
             EMatrix(2, [[0.0, bad], [bad, 0.0]])
 
+    def test_largest_doubles_stay_finite(self):
+        big = np.finfo(float).max
+        e = EMatrix(2, [[0.0, big], [big, 0.0]])
+        assert e.entries[0, 1] == e.entries[1, 0] == big
+
 
 class TestBuildEMatrix:
     def test_single_subspace(self):
@@ -193,6 +198,17 @@ class TestSpectralRadius:
         n, eps = 4, 0.3
         e = EMatrix(n, eps * (np.ones((n, n)) - np.eye(n)))
         assert spectral_radius(e) == pytest.approx((n - 1) * eps, abs=1e-12)
+
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_huge_entries_scale_exactly(self, big):
+        # the residual check must not square the residual out of range
+        e = EMatrix(3, big * (np.ones((3, 3)) - np.eye(3)))
+        assert spectral_radius(e) == pytest.approx(2.0 * big, rel=1e-14)
+
+    def test_radius_beyond_largest_double_raises(self):
+        e = EMatrix(3, 1e308 * (np.ones((3, 3)) - np.eye(3)))
+        with pytest.raises(NumericalError, match="overflows"):
+            spectral_radius(e)
 
     def test_against_power_iteration_oracle(self):
         rng = np.random.default_rng(20)

@@ -499,6 +499,31 @@ class TestCounterexampleCommand:
         e = build_e_matrix(family)
         assert e.entries[0, 1] == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_huge_entries_rescale_with_one_notice(self, tmp_path, capsys, big):
+        entries = (big * (np.ones((3, 3)) - np.eye(3))).tolist()  # r = 2 * big
+        epath = self.write_ematrix(tmp_path / "e.json", entries)
+        out = tmp_path / "family.json"
+        code = main(["counterexample", str(epath), "--blocks", "1", "--out", str(out)])
+        assert code == 0
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1
+        assert lines[0].startswith("notice: ") and "rescaling" in lines[0]
+        family, _ = io.load_family(out)
+        assert build_e_matrix(family).entries[0, 1] == pytest.approx(0.25, abs=1e-9)
+
+    def test_radius_beyond_largest_double_exits_one(self, tmp_path, capsys):
+        # r = 2e308 cannot be represented, so there is no 1/r to rescale by
+        entries = (1e308 * (np.ones((3, 3)) - np.eye(3))).tolist()
+        epath = self.write_ematrix(tmp_path / "e.json", entries)
+        out = tmp_path / "family.json"
+        code = main(["counterexample", str(epath), "--blocks", "1", "--out", str(out)])
+        assert code == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "overflows" in lines[0]
+        assert not out.exists()
+
     def test_subcritical_matrix_rejected(self, tmp_path, capsys):
         epath = self.write_ematrix(tmp_path / "e.json", [[0.0, 0.5], [0.5, 0.0]])
         out = tmp_path / "family.json"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from test_criterion import hollow_symmetric
+from oracles import svd_cosine_matrix
+from test_criterion import hollow_symmetric, ring
 from sumspaces import (
     CounterexampleSpec,
     EMatrix,
@@ -21,11 +22,31 @@ from sumspaces import (
     sum_operator,
     verify_counterexample,
 )
+from sumspaces import counterexamples
 
 
 def all_equal_boundary(n):
     """Off-diagonal entries 1/(n-1): row sums are 1, so r(E) = 1."""
     return EMatrix(n, (np.ones((n, n)) - np.eye(n)) / (n - 1))
+
+
+def permuted_ring_boundary(n, seed):
+    """Ring with neighbour entries 1/2 (r(E) = 1), nodes in a seeded order.
+
+    The matrix of the counterexample-ring benchmark workload.
+    """
+    perm = np.random.default_rng(seed).permutation(n)
+    return EMatrix(n, ring(n, 0.5).entries[np.ix_(perm, perm)])
+
+
+def random_boundary(seed, n):
+    """Random hollow nonnegative matrix rescaled to r(E) = 1."""
+    e = hollow_symmetric(np.random.default_rng(seed), n)
+    return EMatrix(n, e.entries / spectral_radius(e))
+
+
+def measured_pairs(record):
+    return np.array([p.measured for p in record.pairs])
 
 
 class TestPrincipalEigenvector:
@@ -279,6 +300,9 @@ class TestBlockSingularValues:
         assert not record.passed
         full = np.linalg.svd(sum_operator(family), compute_uv=False)[-1]
         assert record.sigma_min == full
+        rows, cols = np.triu_indices(family.n, 1)
+        expected = build_e_matrix(family).entries[rows, cols]
+        assert np.array_equal(measured_pairs(record), expected)
 
     def test_no_svd_of_the_whole_operator(self, monkeypatch):
         n, big_k = 16, 40
@@ -295,3 +319,46 @@ class TestBlockSingularValues:
         assert verify_counterexample(cf, spec).passed
         assert shapes
         assert max(max(shape[-2:]) for shape in shapes) <= max(n, big_k)
+
+
+# the TestBlockSingularValues families and the benchmark's permuted ring
+BLOCK_FAMILIES = [
+    pytest.param(all_equal_boundary(n), big_k, id=f"all-equal-{n}x{big_k}")
+    for n, big_k in [(2, 1), (2, 20), (3, 3), (16, 40)]
+] + [pytest.param(permuted_ring_boundary(16, 3), 40, id="ring-16x40")]
+
+
+class TestBlockCosines:
+    """Pair cosines are read from the K diagonal blocks, as max_k |(V_k'V_k)_ij|."""
+
+    @pytest.mark.parametrize("e, big_k", BLOCK_FAMILIES)
+    def test_forms_no_sum_operator_or_gram(self, e, big_k, monkeypatch):
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the block path formed S or cut E from S'S")
+
+        monkeypatch.setattr(counterexamples, "sum_operator", forbidden)
+        monkeypatch.setattr(counterexamples, "_cosine_matrix", forbidden)
+        assert verify_counterexample(cf, spec).passed
+
+    @pytest.mark.parametrize("e, big_k", BLOCK_FAMILIES)
+    def test_pairs_match_svd_oracle(self, e, big_k):
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        record = verify_counterexample(cf, spec)
+        rows, cols = np.triu_indices(e.n, 1)
+        expected = svd_cosine_matrix(cf.family).entries[rows, cols]
+        assert np.array_equal(measured_pairs(record), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_boundary_pairs_within_roundoff(self, seed):
+        # V_k'V_k and S'S sum the same products in different orders
+        n, big_k = 30, 10
+        spec = CounterexampleSpec(random_boundary(seed, n), geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        record = verify_counterexample(cf, spec)
+        rows, cols = np.triu_indices(n, 1)
+        expected = svd_cosine_matrix(cf.family).entries[rows, cols]
+        assert np.abs(measured_pairs(record) - expected).max() <= 1e-15
