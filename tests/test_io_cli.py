@@ -133,6 +133,9 @@ class TestFamilyFiles:
             '{"ambient_dim": true, "subspaces": [{"vectors": [[1.0]]}]}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": [["1.5", "0"]]}]}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[true, false]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[true, 0.5]]},'
+            ' {"vectors": [[0.0, 1.0]]}]}',
+            '{"ambient_dim": 2, "subspaces": [{"vectors": [[1, false]]}]}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[null, 1.0]]}]}',
             pytest.param(
                 '{"ambient_dim": 2, "subspaces": [{"vectors": [[1%s, 0]]}]}' % ("0" * 20),
@@ -145,6 +148,17 @@ class TestFamilyFiles:
         path.write_text(doc)
         with pytest.raises(ValueError):
             io.load_family(path)
+
+    @pytest.mark.parametrize("name", ["true", "untrue", "false", "no false start"])
+    def test_names_holding_boolean_words_load(self, tmp_path, name):
+        vectors = {name: [[1.0, 0.0]], "X2": [[0.5, 0.5]]}
+        path = write_family_file(tmp_path / "named.json", vectors, 2)
+        family, names = io.load_family(path)
+        assert names == [name, "X2"]
+        renamed = dict(zip("ab", vectors.values()))
+        plain, _ = io.load_family(write_family_file(tmp_path / "plain.json", renamed, 2))
+        for member, expected in zip(family.members, plain.members):
+            np.testing.assert_array_equal(member.basis, expected.basis)
 
     def test_non_finite_vectors_name_the_subspace(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -172,6 +186,15 @@ class TestEMatrixFiles:
         with pytest.raises(ValueError):
             io.load_ematrix(path)
 
+    def test_boolean_words_outside_entries_load(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(
+            '{"note": "true or false", "n": 2, "entries": [[0.0, 1], [1, 0.0]]}'
+        )
+        np.testing.assert_array_equal(
+            io.load_ematrix(path).entries, [[0.0, 1.0], [1.0, 0.0]]
+        )
+
     def test_overflowing_size_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1e400, "entries": [[0.0]]}')
@@ -187,6 +210,8 @@ class TestEMatrixFiles:
             '{"entries": [[0.0]]}',
             '{"n": 2, "entries": [["0", "0.5"], ["0.5", "0"]]}',
             '{"n": 1, "entries": [[false]]}',
+            '{"n": 2, "entries": [[0.0, true], [1, 0.0]]}',
+            '{"n": 2, "entries": [[0, false], [0, 0]]}',
             '{"n": 2, "entries": [[0.0, null], [null, 0.0]]}',
             '{"n": 2, "entries": [[0, 1%s], [1%s, 0]]}' % ("0" * 20, "0" * 20),
             '{"n": 1}',
@@ -207,6 +232,22 @@ def ring_matrix(n, cosine=0.5):
     return entries
 
 
+# A small pool of values, so neighbours are often equal: signed zeros, two
+# NaN payloads, infinities and two finite values.
+_RUN_VALUES = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, 0.5, -1e-300],
+        np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64),
+    ]
+)
+_RUN_HEAVY = hnp.arrays(
+    np.intp,
+    st.tuples(st.integers(0, 8), st.integers(0, 64)),
+    elements=st.integers(0, len(_RUN_VALUES) - 1),
+).map(_RUN_VALUES.__getitem__)
+_RUN_HEAVY_MATRICES = st.one_of(_RUN_HEAVY, _RUN_HEAVY.map(np.transpose))
+
+
 class TestArrayWriter:
     def test_signed_zeros_and_nan_payloads_keep_their_text(self):
         payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64)
@@ -216,6 +257,30 @@ class TestArrayWriter:
         assert out.getvalue() == (
             "[\n  [0.0, -0.0, NaN, NaN],\n  [Infinity, -0.0, 0.0, 1.0]\n]\n"
         )
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 3.0]]),
+            np.zeros((3, 1)),
+            np.full((2, 4), 0.5),
+            np.array([[0.0, 0.0, -0.0, -0.0, 0.0], [-0.0, -0.0, -0.0, 0.0, 0.0]]),
+        ],
+        ids=["zero-run-crosses-rows", "one-column", "one-value", "signed-zeros"],
+    )
+    def test_rows_are_cut_into_runs_of_equal_bits(self, a):
+        assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
+
+    def test_ring_family_rows_match_the_encoder(self):
+        spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
+        for member in build_counterexample(spec).family.members:
+            a = member.basis.T
+            assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_RUN_HEAVY_MATRICES)
+    def test_run_heavy_rows_match_the_encoder(self, a):
+        assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
 
     @pytest.mark.parametrize(
         "a", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=np.float32)]
@@ -681,6 +746,33 @@ class TestCommandBoundary:
         lines = stderr_lines(capsys.readouterr())
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (
+                '{"ambient_dim": 2, "subspaces": [{"vectors": [[true, 0.5]]},'
+                ' {"vectors": [[0.0, 1.0]]}]}',
+                ["analyze", "{tmp}/in.json"],
+            ),
+            (
+                '{"n": 2, "entries": [[0.0, true], [1, 0.0]]}',
+                [
+                    "counterexample", "{tmp}/in.json",
+                    "--blocks", "2", "--out", "{tmp}/f.json",
+                ],
+            ),
+        ],
+        ids=["family", "matrix"],
+    )
+    def test_booleans_among_numbers_exit_one(self, tmp_path, capsys, doc, argv):
+        (tmp_path / "in.json").write_text(doc)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = stderr_lines(captured)
+        assert len(lines) == 1 and lines[0].endswith("must be JSON numbers")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
     def test_rank_deficiency_is_one_notice(self, tmp_path, capsys):
         path = write_family_file(
             tmp_path / "dep.json",
@@ -815,6 +907,62 @@ def test_cli_contract_on_generated_documents(text):
             lines = err.getvalue().splitlines()
             assert all(line.startswith(("error: ", "notice: ")) for line in lines), lines
             assert sum(line.startswith("error: ") for line in lines) <= 1
+
+
+@st.composite
+def counterexample_arguments(draw):
+    """A cosine matrix document, ``--blocks`` and ``--alpha-schedule``.
+
+    All are valid, or one part is damaged: ``n``, the entries, one row,
+    the block count or the schedule.  A valid matrix is hollow, symmetric
+    and has an entry of at least 1, so ``r(E) >= 1``: it is on the
+    boundary or rescaled.
+    """
+    n = draw(st.integers(2, 4))
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1.0, 4.0))
+    values = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    upper = np.triu(np.reshape(values, (n, n)), 1)
+    doc = {"n": n, "entries": (upper + upper.T).tolist()}
+    blocks = draw(st.sampled_from([1, 2, 53]))
+    ascending = ",".join(map(repr, np.linspace(0.1, 0.9, blocks).tolist()))
+    schedule = draw(st.sampled_from(["geometric", "custom=" + ascending]))
+    damage = draw(st.sampled_from([None, "n", "entries", "row", "blocks", "schedule"]))
+    if damage == "n":
+        sizes = [0, n + 1, 10**12, 1e300, float("nan"), "2", None, True]
+        doc["n"] = draw(st.sampled_from(sizes))
+    elif damage == "entries":
+        ragged = st.lists(st.lists(_NUMBERS, max_size=n + 1))
+        doc["entries"] = draw(st.one_of(ragged, _JUNK))
+    elif damage == "row":
+        row = st.lists(st.one_of(_NUMBERS, _JUNK), max_size=n + 1)
+        doc["entries"][draw(st.integers(0, n - 1))] = draw(row)
+    elif damage == "blocks":
+        blocks = draw(st.sampled_from([0, 54]))
+    elif damage == "schedule":
+        schedule = draw(
+            st.sampled_from(
+                ["custom=0.5,0.25", "custom=nan", "custom=1.5", "custom=", "other"]
+            )
+        )
+    return json.dumps(doc), ["--blocks", str(blocks), "--alpha-schedule", schedule]
+
+
+@settings(max_examples=150, deadline=None)
+@given(counterexample_arguments())
+def test_counterexample_cli_contract_on_generated_documents(arguments):
+    text, options = arguments
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.json"
+        path.write_text(text)
+        outputs = ["--out", f"{tmp}/f.json", "--verify", f"{tmp}/v.json"]
+        err = StringIO()
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+            code = main(["counterexample", str(path), *options, *outputs])
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        prefixes = ("error: ", "notice: ", "verification failed: ")
+        assert all(line.startswith(prefixes) for line in lines), lines
+        assert sum(line.startswith("error: ") for line in lines) <= 1
 
 
 _TRICKY_TEXT = st.one_of(
