@@ -2,14 +2,8 @@
 
 ``power_chain`` walks the power chain of a fixed factor by successive
 multiplication; no binary powering, so the floating-point sequence is the
-one the plain iteration would produce.  ``iterate_projection`` builds the
-d x d iterate with it.
-
-``convergence_report`` walks no chain.  Its factor ``I - G`` (``G = S'S``)
-is symmetric, so the norm of ``(I - G)^N`` is exactly ``rho^N`` with
-``rho = max |1 - lambda_i(G)|``, read from one ``eigvalsh(G)``.  The d x d
-chain of ``iterate_projection`` and the K x K chain of ``I - G`` (a test
-oracle) are what that closed form is checked against.
+one the plain iteration would produce.  ``iteration.iterate_projection``
+builds the d x d iterate with it.
 """
 
 

@@ -34,11 +34,11 @@ GRAM_TOL = 1e-10
 class CounterexampleSpec:
     """Input to the construction: boundary matrix plus block schedule.
 
-    A matrix with spectral radius above 1 (beyond tolerance) is rescaled
-    by 1/r on construction, with a warning; one with radius below 1 is
-    rejected, since then the criterion holds and no counterexample exists.
-    ``input_radius`` is the spectral radius of the matrix as given, before
-    any rescaling.
+    Every accepted matrix is divided by its spectral radius r (with a
+    warning when r is above the boundary band), then stepped down one ulp
+    at a time while its computed top eigenvalue exceeds 1, so I - alpha*E
+    is positive definite for every alpha < 1.  A radius below the band is
+    rejected, as the criterion then holds.  ``input_radius`` is r.
     """
 
     e: EMatrix
@@ -56,19 +56,17 @@ class CounterexampleSpec:
 
         r = spectral_radius(self.e)
         object.__setattr__(self, "input_radius", r)
-        e = self.e
+        if r < 1.0 - BOUNDARY_BAND:
+            raise NotBoundary(f"spectral radius {r:.12g} < 1: the criterion holds")
         if r > 1.0 + BOUNDARY_BAND:
             warnings.warn(
                 f"spectral radius {r:.12g} exceeds 1; rescaling entries by 1/r",
                 stacklevel=2,
             )
-            e = EMatrix(self.e.n, self.e.entries / r)
-            r = spectral_radius(e)
-        if abs(r - 1.0) > BOUNDARY_BAND:
-            raise NotBoundary(
-                f"spectral radius {r:.12g} is not 1 within tolerance; "
-                "the construction needs a boundary matrix"
-            )
+        # spectral_radius reads w[-1] of the same eigh(E) that gram_vectors uses
+        entries = self.e.entries / r
+        while spectral_radius(e := EMatrix(self.e.n, entries)) > 1.0:
+            entries = np.nextafter(entries, 0.0)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "alphas", alphas)
 
@@ -156,26 +154,29 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     return c
 
 
-def gram_vectors(e: EMatrix, alpha: float) -> np.ndarray:
+def gram_vectors(e: EMatrix, alpha) -> np.ndarray:
     """Unit vectors in R^n whose Gram matrix is I - alpha*E.
 
-    Returned as the columns of the symmetric square root of I - alpha*E
+    Returned as the columns of the symmetric square root
+    U diag(sqrt(1 - alpha*w)) U' of I - alpha*E, where E = U diag(w) U'
     (deterministic; any factor with unit columns would do).  Pairwise
-    inner products are -alpha*e_ij and the collection is linearly
-    independent since the least eigenvalue of the Gram matrix is
-    1 - alpha * r(E) > 0.
+    inner products are -alpha*e_ij, and the vectors are independent: the
+    Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  A sequence
+    of K alphas gives the (K, n, n) stack, all from one eigh(E).
     """
-    if not 0.0 < alpha < 1.0:
+    alphas = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    g = np.eye(e.n) - alpha * e.entries
-    w, u = np.linalg.eigh(g)
-    if w[0] <= 0.0:
+    w, u = np.linalg.eigh(e.entries)
+    lam = 1.0 - alphas[..., None] * w
+    if lam.min() <= 0.0:
         raise NotPositiveDefinite(
-            f"I - alpha*E has least eigenvalue {w[0]:.3e}; "
+            f"I - alpha*E has least eigenvalue {lam.min():.3e}; "
             "alpha is too large for this matrix"
         )
-    v = (u * np.sqrt(w)) @ u.T
-    resid = np.abs(v.T @ v - g).max()
+    v = (u * np.sqrt(lam)[..., None, :]) @ u.T
+    g = np.eye(e.n) - alphas[..., None, None] * e.entries
+    resid = np.abs(np.swapaxes(v, -1, -2) @ v - g).max()
     if resid > GRAM_TOL:
         raise NumericalError(f"Gram factorization residual {resid:.3e}")
     return v
@@ -191,14 +192,13 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
     """
     n, big_k = spec.e.n, spec.K
     c = principal_eigenvector(spec.e)
-    blocks = [gram_vectors(spec.e, a) for a in spec.alphas]
-
-    d = n * big_k
+    blocks = gram_vectors(spec.e, spec.alphas)
+    d, ks = n * big_k, np.arange(big_k)
     members = []
     for i in range(n):
         basis = np.zeros((d, big_k))
-        for k, v in enumerate(blocks):
-            basis[k * n:(k + 1) * n, k] = v[:, i]
+        # blocks[k, j, i] goes to basis[k*n + j, k], as _diagonal_blocks reads
+        basis.reshape(big_k, n, big_k)[ks, :, ks] = blocks[:, :, i]
         members.append(Subspace(d, basis))
     family = SubspaceFamily(d, tuple(members))
     return CounterexampleFamily(family, tuple(blocks), c)
@@ -217,17 +217,17 @@ def verify_counterexample(
     1 - alpha_K, (d) it is still positive, and (e) S is block diagonal:
     the family has n members of dimension K in R^(n*K) (n and K taken
     from the family) and column k of every member lies on coordinates
-    [k*n, (k+1)*n).  Everything is measured from ``cf.family``, not from
-    ``cf.block_vectors``.  When (e) holds, every cross-Gram block
-    B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k the k-th diagonal
-    n x n block of S, so the cosines are max_k |(V_k'V_k)_ij| from one
-    batched product and the singular values come from one batched SVD
-    of the blocks: neither S nor its nK x nK Gram matrix is formed.
-    Only when (e) fails are the cosines cut from S'S and the singular
-    values taken from an SVD of the whole of S, so ``sigma_min`` is
-    always the least singular value of S.  Raises VerificationFailed
-    naming the first violated check, taking (e) before (c) and (d); the
-    exception carries the full record.
+    [k*n, (k+1)*n).  Check (b) reads ``cf.block_vectors`` and ``cf.c``;
+    the others are measured from ``cf.family``.  When (e) holds, every
+    cross-Gram block B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k
+    the k-th diagonal n x n block of S, so the cosines are
+    max_k |(V_k'V_k)_ij| from one batched product and the singular values
+    come from one batched SVD of the blocks: neither S nor its nK x nK
+    Gram matrix is formed.  Only when (e) fails are the cosines cut from
+    S'S and the singular values taken from an SVD of the whole of S, so
+    ``sigma_min`` is always the least singular value of S.  Raises
+    VerificationFailed naming the first violated check, taking (e)
+    before (c) and (d); the exception carries the full record.
     """
     e = spec.e
     n = e.n

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,8 +26,9 @@ from sumspaces import (
     io,
     spectral_radius,
 )
+from sumspaces import cli
 from sumspaces.cli import main
-from sumspaces.errors import InconsistencyError, NumericalError
+from sumspaces.errors import InconsistencyError, NumericalError, VerificationFailed
 
 
 def write_family_file(path, vectors_by_name, ambient_dim):
@@ -630,6 +632,64 @@ class TestCounterexampleCommand:
             ]
         )
         assert code == 1
+
+    def test_unknown_schedule_exits_one(self, tmp_path, capsys):
+        epath = self.write_ematrix(tmp_path / "e.json", [[0.0, 1.0], [1.0, 0.0]])
+        out = tmp_path / "family.json"
+        schedule = ["--alpha-schedule", "bogus"]
+        argv = ["counterexample", str(epath), "--blocks", "2", *schedule, "--out", str(out)]
+        assert main(argv) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert lines == ["error: unknown alpha schedule 'bogus'"]
+        assert not out.exists()
+
+    def run_verified(self, tmp_path, entries, blocks):
+        """Exit code, family path and verification path of one command."""
+        epath = self.write_ematrix(tmp_path / "e.json", entries)
+        out, verify = tmp_path / "family.json", tmp_path / "verify.json"
+        code = main(["counterexample", str(epath), "--blocks", str(blocks),
+                     "--out", str(out), "--verify", str(verify)])
+        return code, out, verify
+
+    def test_failed_verification_exits_two_with_both_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        verify_counterexample = cli.verify_counterexample
+
+        def failing(cf, spec):
+            record = dataclasses.replace(verify_counterexample(cf, spec), passed=False)
+            raise VerificationFailed("block 0: forced", record=record)
+
+        monkeypatch.setattr(cli, "verify_counterexample", failing)
+        code, out, verify = self.run_verified(tmp_path, [[0.0, 1.0], [1.0, 0.0]], 3)
+        assert code == 2
+        lines = stderr_lines(capsys.readouterr())
+        assert lines == ["verification failed: block 0: forced"]
+        assert io.load_family(out)[0].n == 2
+        assert json.loads(verify.read_text())["verification"]["passed"] is False
+
+    @pytest.mark.parametrize("blocks", [52, 53])
+    def test_rescaled_matrix_takes_every_geometric_block(self, tmp_path, capsys, blocks):
+        # r = sqrt(2): E / r alone kept a computed radius a rounding above 1
+        entries = [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+        code, _, verify = self.run_verified(tmp_path, entries, blocks)
+        assert code == 0
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1
+        assert lines[0].startswith("notice: ") and "rescaling" in lines[0]
+        assert json.loads(verify.read_text())["verification"]["passed"] is True
+
+    @pytest.mark.parametrize("radius", [1 - 5e-10, 1 + 5e-10])
+    @pytest.mark.parametrize("blocks", [1, 53])
+    def test_radius_inside_band_builds_quietly(self, tmp_path, capsys, radius, blocks):
+        entries = [[0.0, radius], [radius, 0.0]]
+        code, _, verify = self.run_verified(tmp_path, entries, blocks)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        vdoc = json.loads(verify.read_text())
+        assert vdoc["verification"]["passed"] is True
+        assert vdoc["spectral_radius_input"] == pytest.approx(radius, abs=1e-15)
 
     @pytest.mark.parametrize("blocks, code", [(53, 0), (54, 1)])
     def test_geometric_schedule_block_limit(self, tmp_path, capsys, blocks, code):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import svd_cosine_matrix
 from test_criterion import hollow_symmetric, ring
@@ -8,6 +12,7 @@ from sumspaces import (
     EMatrix,
     NotBoundary,
     NotPositiveDefinite,
+    NumericalError,
     Subspace,
     SubspaceFamily,
     VerificationFailed,
@@ -43,6 +48,24 @@ def random_boundary(seed, n):
     """Random hollow nonnegative matrix rescaled to r(E) = 1."""
     e = hollow_symmetric(np.random.default_rng(seed), n)
     return EMatrix(n, e.entries / spectral_radius(e))
+
+
+# r = sqrt(2); divided by r alone, its computed radius stayed a rounding
+# above 1, which left I - alpha_K*E indefinite at K = 52 and 53
+STAR = EMatrix(
+    4,
+    [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+)
+
+
+def sparse_matrix(seed, n, radius):
+    """Random hollow nonnegative matrix, about half its pairs zero, r(E) = radius."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+    upper[0, 1] = rng.uniform(0.5, 1.0)  # not all zero
+    e = upper + upper.T
+    return EMatrix(n, e / np.linalg.eigvalsh(e)[-1] * radius)
 
 
 def measured_pairs(record):
@@ -102,6 +125,37 @@ class TestGramVectors:
         e = EMatrix(3, np.ones((3, 3)) - np.eye(3))
         with pytest.raises(NotPositiveDefinite):
             gram_vectors(e, 0.9)
+        with pytest.raises(NotPositiveDefinite):
+            gram_vectors(e, (0.25, 0.9))
+
+    @pytest.mark.parametrize(
+        "e",
+        [permuted_ring_boundary(16, 3), random_boundary(5, 12)],
+        ids=["ring", "random"],
+    )
+    def test_stack_matches_scalar_calls(self, e):
+        alphas = geometric_alphas(40)
+        stack = gram_vectors(e, alphas)
+        assert stack.shape == (40, e.n, e.n)
+        for alpha, v in zip(alphas, stack):
+            assert np.abs(v - gram_vectors(e, alpha)).max() <= 1e-15
+
+    def test_stack_rejects_any_alpha_outside_unit_interval(self):
+        for alphas in ((0.5, 1.0), (0.0, 0.5), (0.5, float("nan"))):
+            with pytest.raises(ValueError):
+                gram_vectors(all_equal_boundary(3), alphas)
+
+    @pytest.mark.parametrize("alpha", [0.5, geometric_alphas(5)])
+    def test_perturbed_eigenvectors_fail_the_residual_check(self, alpha, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a, *args, **kwargs):
+            w, u = eigh(a, *args, **kwargs)
+            return w, u + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalError, match="Gram factorization residual"):
+            gram_vectors(all_equal_boundary(3), alpha)
 
 
 class TestCounterexampleSpec:
@@ -120,6 +174,18 @@ class TestCounterexampleSpec:
     def test_rejects_radius_below_one(self):
         with pytest.raises(NotBoundary):
             CounterexampleSpec(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]), (0.5,))
+        with pytest.raises(NotBoundary):
+            CounterexampleSpec(EMatrix(2, [[0.0, 1 - 2e-9], [1 - 2e-9, 0.0]]), (0.5,))
+
+    @pytest.mark.parametrize("radius", [1 - 5e-10, 1 + 5e-10])
+    def test_radius_inside_band_is_divided_out_quietly(self, radius):
+        # no warning: pytest turns one into an error
+        e = EMatrix(2, [[0.0, radius], [radius, 0.0]])
+        spec = CounterexampleSpec(e, geometric_alphas(53))
+        assert spec.input_radius == pytest.approx(radius, abs=1e-15)
+        assert spec.e.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert spectral_radius(spec.e) <= 1.0
+        assert verify_counterexample(build_counterexample(spec), spec).passed
 
     def test_rejects_bad_alphas(self):
         e = all_equal_boundary(2)
@@ -129,6 +195,44 @@ class TestCounterexampleSpec:
             CounterexampleSpec(e, (0.0, 0.5))
         with pytest.raises(ValueError):
             CounterexampleSpec(e, ())
+
+
+class TestEveryBlockCount:
+    """Every matrix the spec accepts builds and verifies at up to 53 blocks."""
+
+    @pytest.mark.parametrize("big_k", [52, 53])
+    def test_rescaled_star(self, big_k):
+        with pytest.warns(UserWarning, match="rescaling"):
+            spec = CounterexampleSpec(STAR, geometric_alphas(big_k))
+        assert spectral_radius(spec.e) <= 1.0
+        assert verify_counterexample(build_counterexample(spec), spec).passed
+
+    def test_seeded_sweep(self):
+        radii = [1.0, 1 - 5e-10, 1 + 5e-10, np.sqrt(2), 3.0]
+        for seed in range(60):
+            radius = radii[seed % len(radii)]
+            e = sparse_matrix(seed, 2 + seed % 7, radius)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                spec = CounterexampleSpec(e, geometric_alphas(53))
+            assert spectral_radius(spec.e) <= 1.0, seed
+            assert verify_counterexample(build_counterexample(spec), spec).passed, seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        radius=st.one_of(
+            st.sampled_from([1.0, 1 - 5e-10, 1 + 5e-10]), st.floats(1.0, 4.0)
+        ),
+    )
+    def test_stored_radius_is_at_most_one(self, seed, n, radius):
+        e = sparse_matrix(seed, n, radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = CounterexampleSpec(e, geometric_alphas(53))
+        assert spectral_radius(spec.e) <= 1.0
+        assert verify_counterexample(build_counterexample(spec), spec).passed
 
 
 class TestGeometricAlphas:
@@ -180,6 +284,33 @@ class TestBuildCounterexample:
             col = basis[:, k]
             assert np.all(col[: 3 * k] == 0.0)
             assert np.all(col[3 * (k + 1):] == 0.0)
+
+    def test_members_hold_the_block_columns(self):
+        n, big_k = 5, 7
+        spec = CounterexampleSpec(random_boundary(3, n), geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        assert np.array_equal(cf.block_vectors, gram_vectors(spec.e, spec.alphas))
+        for i, member in enumerate(cf.family.members):
+            expected = np.zeros((n * big_k, big_k))
+            for k, v in enumerate(cf.block_vectors):
+                expected[k * n:(k + 1) * n, k] = v[:, i]
+            assert np.array_equal(member.basis, expected)
+
+    def test_one_eigendecomposition_of_e(self, monkeypatch):
+        n, big_k = 16, 40
+        spec = CounterexampleSpec(permuted_ring_boundary(n, 3), geometric_alphas(big_k))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        build_counterexample(spec)
+        # the principal eigenvector's and the Gram factors' eigh(E)
+        assert len(shapes) <= 2
+        assert all(shape == (n, n) for shape in shapes)
 
     def test_measured_e_matrix_is_scaled_input(self):
         e = all_equal_boundary(4)
