@@ -8,9 +8,9 @@ reproduces identical numbers.  Every JSON output goes through one writer
 that puts one vector or matrix row per line: a counterexample family file
 is about a third of the size of a fully indented one, with the same
 numbers.  Families and cosine matrices reach the writer as float arrays,
-whose distinct values are each formatted once, and whose rows are
-assembled from runs of equal neighbours: a counterexample family is almost
-all ``0.0`` in long runs, so it costs Python work per run, not per entry.
+whose rows are assembled from runs of equal neighbours: a counterexample
+family is almost all ``0.0`` in long runs, so it costs Python work per
+run, not per entry.
 """
 
 import hashlib
@@ -285,10 +285,10 @@ def _write_json(fh, doc):
     per line; a container with no nested container (a vector, a matrix
     row, a convergence step) is written on one line by ``json.dumps``,
     which takes the C encoder.  A 2-D float64 array is written as its
-    ``tolist()`` would be, byte for byte, one row per line, but each
-    distinct value is formatted once and each row is joined from its runs
-    of equal entries (see ``_row_texts``), so a family file holds one
-    vector per line and no Python float is made per entry.
+    ``tolist()`` would be, byte for byte, one row per line, but each row
+    is joined from its runs of equal entries (see ``_row_texts``), so a
+    family file holds one vector per line and no Python float is made per
+    entry.
     Keys must be strings, as in every document the package writes.  The
     output is written container by container; building the whole string
     first would hold a second copy of a large family in memory.
@@ -331,15 +331,13 @@ def _row_texts(a):
     entries: a run starts at every row start and wherever an entry differs
     from its left neighbour, so no run spans two rows.  Entries are
     compared as int64 bits, so ``-0.0`` and ``0.0`` (and NaNs with
-    different payloads) stay apart.  The distinct run values are found
-    with a sort (``np.unique`` would import ``numpy.ma``, +1.7 MB RSS) and
+    different payloads) stay apart.  The first entries of the runs are
     formatted by one ``json.dumps`` of their list, which gives the C
-    encoder's text for each (``Infinity`` included).  Their texts are
-    gathered to the runs through an object array, a run of length L
+    encoder's text for each (``Infinity`` included).  A run of length L
     becomes ``", ".join([text] * L)`` and each row joins its runs, so the
     Python-level work grows with the number of runs, not of entries.  A
     counterexample family is mostly long runs of ``0.0``: the 16-member
-    ring with 40 blocks has 11,476 runs in 409,600 entries.
+    ring with 40 blocks has 11,488 runs in 409,600 entries.
     """
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array as JSON")
@@ -352,17 +350,8 @@ def _row_texts(a):
     np.not_equal(bits[1:], bits[:-1], out=head[1:])
     head[::cols] = True
     starts = np.flatnonzero(head)
-    values = bits[starts]
-    ordered = np.sort(values)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    runs = np.array(texts, dtype=object)[np.searchsorted(distinct, values)]
-    lengths = np.diff(starts, append=bits.size)
-    long = np.flatnonzero(lengths > 1)
-    runs[long] = [
-        ", ".join([text] * n)
-        for text, n in zip(runs[long].tolist(), lengths[long].tolist())
-    ]
-    runs = runs.tolist()
+    texts = json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", ")
+    lengths = np.diff(starts, append=bits.size).tolist()
+    runs = [t if n == 1 else ", ".join([t] * n) for t, n in zip(texts, lengths)]
     ends = np.cumsum(np.count_nonzero(head.reshape(rows, cols), axis=1)).tolist()
     return ["[" + ", ".join(runs[s:e]) + "]" for s, e in zip([0, *ends], ends)]

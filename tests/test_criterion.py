@@ -52,6 +52,22 @@ def assert_minors_match_oracle(e):
     np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0)
 
 
+def one_row_perturbed(eigh):
+    """``np.linalg.eigh`` with row 0 of the eigenvectors moved by 0.1.
+
+    No returned column is an eigenvector any more, so every residual check
+    on an eigenpair must fail.
+    """
+
+    def perturbed(a):
+        w, u = eigh(a)
+        u = u.copy()
+        u[0] += 0.1
+        return w, u
+
+    return perturbed
+
+
 def power_iteration_radius(a, steps=10_000, seed=0):
     """Independent oracle: dominant eigenvalue by plain power iteration."""
     rng = np.random.default_rng(seed)
@@ -84,6 +100,10 @@ class TestEMatrixValidation:
         assert e.entries[0, 0] == 0.0
         assert e.entries[1, 1] == 0.0
         assert e.entries[0, 1] == e.entries[1, 0]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            EMatrix(1, [0.0])
 
     def test_rejects_wrong_n(self):
         with pytest.raises(ValueError):
@@ -208,6 +228,12 @@ class TestSpectralRadius:
     def test_radius_beyond_largest_double_raises(self):
         e = EMatrix(3, 1e308 * (np.ones((3, 3)) - np.eye(3)))
         with pytest.raises(NumericalError, match="overflows"):
+            spectral_radius(e)
+
+    def test_wrong_eigenpair_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", one_row_perturbed(np.linalg.eigh))
+        e = EMatrix(3, 0.3 * (np.ones((3, 3)) - np.eye(3)))
+        with pytest.raises(NumericalError, match="eigenpair residual"):
             spectral_radius(e)
 
     def test_against_power_iteration_oracle(self):
@@ -352,6 +378,12 @@ class TestEvaluateCriterion:
         monkeypatch.setattr(criterion, "spectral_radius", lambda e: 1.01)
         rep = evaluate_criterion(EMatrix(2, [[0.0, c], [c, 0.0]]))
         assert not rep.satisfied and not rep.boundary
+
+    def test_angle_sum_disagreement_raises(self, monkeypatch):
+        # r = 0.4 says satisfied; an angle sum of 3 < pi says not
+        monkeypatch.setattr(criterion, "_angle_sum", lambda e: 3.0)
+        with pytest.raises(InconsistencyError, match="angle-sum"):
+            evaluate_criterion(EMatrix(3, 0.2 * (np.ones((3, 3)) - np.eye(3))))
 
     def test_randomized_equivalence_sweep(self):
         rng = np.random.default_rng(99)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from io import StringIO
@@ -267,8 +269,9 @@ class TestArrayWriter:
             np.zeros((3, 1)),
             np.full((2, 4), 0.5),
             np.array([[0.0, 0.0, -0.0, -0.0, 0.0], [-0.0, -0.0, -0.0, 0.0, 0.0]]),
+            np.random.default_rng(40).standard_normal((40, 640)),
         ],
-        ids=["zero-run-crosses-rows", "one-column", "one-value", "signed-zeros"],
+        ids=["zero-run-crosses-rows", "one-column", "one-value", "signed-zeros", "dense"],
     )
     def test_rows_are_cut_into_runs_of_equal_bits(self, a):
         assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
@@ -706,6 +709,39 @@ class TestCounterexampleCommand:
             assert lines == []
 
 
+class TestRunAsProgram:
+    """``python -m sumspaces.cli`` runs the same commands as ``main``."""
+
+    def run(self, *args, cwd):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "sumspaces.cli", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_help_exits_zero(self, tmp_path):
+        done = self.run("--help", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "counterexample" in done.stdout
+
+    def test_readme_round_trip(self, tmp_path):
+        (tmp_path / "e.json").write_text('{"n": 2, "entries": [[0.0, 1.0], [1.0, 0.0]]}')
+        steps = [
+            ["counterexample", "e.json", "--blocks", "20",
+             "--out", "family.json", "--verify", "verify.json"],
+            ["analyze", "family.json", "--report", "report.json"],
+            ["project", "family.json", "--n-max", "5", "--csv", "errors.csv"],
+        ]
+        for step in steps:
+            done = self.run(*step, cwd=tmp_path)
+            assert done.returncode == 0, (step, done.stderr)
+        assert json.loads((tmp_path / "verify.json").read_text())["verification"]["passed"]
+        assert json.loads((tmp_path / "report.json").read_text())["criterion"]["satisfied"]
+        assert (tmp_path / "errors.csv").read_text().startswith("N,error,bound\n")
+
+
 class TestStagedOutputs:
     def test_outputs_appear_together_on_success(self, tmp_path):
         with io.staged_outputs() as stage:
@@ -798,6 +834,16 @@ class TestCommandBoundary:
             main(["project", "--help"])
         assert exc.value.code == 0
         assert "--n-max" in capsys.readouterr().out
+
+    def test_non_square_matrix_exits_one(self, tmp_path, capsys):
+        epath = tmp_path / "e.json"
+        epath.write_text('{"n": 1, "entries": [0.0]}')
+        out = tmp_path / "f.json"
+        assert main(["counterexample", str(epath), "--blocks", "2", "--out", str(out)]) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "must be square" in lines[0]
+        assert not out.exists()
 
     def test_overflowing_ambient_dim_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -971,17 +1017,20 @@ def test_cli_contract_on_generated_documents(text):
 
 @st.composite
 def counterexample_arguments(draw):
-    """A cosine matrix document, ``--blocks`` and ``--alpha-schedule``.
+    """A cosine matrix document, ``--blocks``, ``--alpha-schedule`` and
+    whether one part was damaged.
 
     All are valid, or one part is damaged: ``n``, the entries, one row,
     the block count or the schedule.  A valid matrix is hollow, symmetric
-    and has an entry of at least 1, so ``r(E) >= 1``: it is on the
-    boundary or rescaled.
+    and nonnegative, and one entry above its diagonal is at least 1, so
+    ``r(E) >= 1``: it is on the boundary or rescaled.
     """
     n = draw(st.integers(2, 4))
     entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1.0, 4.0))
     values = draw(st.lists(entry, min_size=n * n, max_size=n * n))
     upper = np.triu(np.reshape(values, (n, n)), 1)
+    i = draw(st.integers(0, n - 2))
+    upper[i, draw(st.integers(i + 1, n - 1))] = draw(st.floats(1.0, 4.0))
     doc = {"n": n, "entries": (upper + upper.T).tolist()}
     blocks = draw(st.sampled_from([1, 2, 53]))
     ascending = ",".join(map(repr, np.linspace(0.1, 0.9, blocks).tolist()))
@@ -1004,13 +1053,14 @@ def counterexample_arguments(draw):
                 ["custom=0.5,0.25", "custom=nan", "custom=1.5", "custom=", "other"]
             )
         )
-    return json.dumps(doc), ["--blocks", str(blocks), "--alpha-schedule", schedule]
+    options = ["--blocks", str(blocks), "--alpha-schedule", schedule]
+    return json.dumps(doc), options, damage is not None
 
 
 @settings(max_examples=150, deadline=None)
 @given(counterexample_arguments())
 def test_counterexample_cli_contract_on_generated_documents(arguments):
-    text, options = arguments
+    text, options, damaged = arguments
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "e.json"
         path.write_text(text)
@@ -1023,6 +1073,9 @@ def test_counterexample_cli_contract_on_generated_documents(arguments):
         prefixes = ("error: ", "notice: ", "verification failed: ")
         assert all(line.startswith(prefixes) for line in lines), lines
         assert sum(line.startswith("error: ") for line in lines) <= 1
+        if not damaged:
+            assert code == 0, lines
+            assert Path(tmp, "f.json").exists() and Path(tmp, "v.json").exists()
 
 
 _TRICKY_TEXT = st.one_of(

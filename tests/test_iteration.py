@@ -7,6 +7,7 @@ from conftest import line, line_at_angle, random_subspace, sample_family_with_ra
 from oracles import error_series
 from sumspaces import (
     CriterionNotSatisfied,
+    InconsistencyError,
     SubspaceFamily,
     build_e_matrix,
     convergence_report,
@@ -325,6 +326,13 @@ class TestLinearIndependenceCheck:
         ok, sigma = linear_independence_check(f)
         assert ok
         assert sigma == pytest.approx(1.0, abs=1e-12)
+
+    def test_frame_bound_violation_raises(self, monkeypatch):
+        # r = 0.5 bounds sigma_min below by sqrt(0.5); halved, it falls short
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: 0.5 * svd(a, **kw))
+        with pytest.raises(InconsistencyError, match="frame bound"):
+            linear_independence_check(sixty_degree_pair())
 
     def test_frame_lower_bound_enforced(self):
         rng = np.random.default_rng(41)

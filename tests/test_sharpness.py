@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import svd_cosine_matrix
-from test_criterion import hollow_symmetric, ring
+from test_criterion import hollow_symmetric, one_row_perturbed, ring
 from sumspaces import (
     CounterexampleSpec,
     EMatrix,
@@ -92,6 +92,11 @@ class TestPrincipalEigenvector:
     def test_rejects_non_boundary(self):
         with pytest.raises(NotBoundary):
             principal_eigenvector(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]))
+
+    def test_wrong_eigenvector_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", one_row_perturbed(np.linalg.eigh))
+        with pytest.raises(NumericalError, match="eigenvector residual"):
+            principal_eigenvector(EMatrix(2, [[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestGramVectors:
@@ -372,6 +377,17 @@ class TestVerifyCounterexample:
         record = exc_info.value.record
         assert not record.passed
         assert len(record.pairs) == 1  # the one pair both sizes have
+
+    def test_zero_singular_value_fails_independence(self, monkeypatch):
+        spec = CounterexampleSpec(all_equal_boundary(2), geometric_alphas(3))
+        cf = build_counterexample(spec)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: 0.0 * svd(a, **kw))
+        with pytest.raises(VerificationFailed, match="sigma_min is not positive") as exc_info:
+            verify_counterexample(cf, spec)
+        record = exc_info.value.record
+        assert record.sigma_min == 0.0
+        assert not record.linearly_independent and not record.passed
 
     def test_degeneration_trend(self):
         e = all_equal_boundary(2)

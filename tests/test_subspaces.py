@@ -49,6 +49,11 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_rejects_empty_spanning_set(self, shape):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            orthonormalize(np.zeros(shape))
+
     def test_near_dependent_columns_are_cut(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(8, 2))
@@ -70,6 +75,14 @@ class TestSubspaceValidation:
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(2, np.array([[np.nan], [0.0]]))
+
+    def test_one_dimensional_basis_rejected(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            Subspace(3, np.array([1.0, 0.0, 0.0]))
+
+    def test_row_count_must_match_ambient_dim(self):
+        with pytest.raises(ValueError, match="basis has 2 rows, ambient dimension is 3"):
+            Subspace(3, np.eye(2))
 
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValueError):
