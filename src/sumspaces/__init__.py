@@ -3,11 +3,13 @@
 Given subspaces X_1, ..., X_n with pairwise minimal-angle cosines e_ij,
 the package decides whether the family is linearly independent with a
 well-conditioned sum by checking that the matrix E of the cosines has
-spectral radius below 1, approximates the orthogonal projection onto the
-sum by the iteration I - (I - A)^N (A the sum of the members'
-projections) with the certified error bound r(E)^N, and constructs block
-families of lines realizing any prescribed boundary matrix with
-r(E) = 1, whose frame bounds degenerate as the truncation grows.
+spectral radius below 1.  It reports the errors of the iteration
+I - (I - A)^N (A the sum of the members' projections), which approximates
+the orthogonal projection onto the sum, against the certified bound
+r(E)^N, without forming A, the projection or an iterate, which are
+d x d.  It also constructs block families of lines realizing any
+prescribed boundary matrix with r(E) = 1, whose frame bounds degenerate
+as the truncation grows.
 """
 
 from ._version import __version__
@@ -28,7 +30,6 @@ from .subspaces import (
     SubspaceFamily,
     minimal_angle,
     orthonormalize,
-    projection_matrix,
     restricted_norm,
     sum_operator,
 )
@@ -46,10 +47,7 @@ from .iteration import (
     ConvergenceReport,
     ConvergenceStep,
     convergence_report,
-    iterate_projection,
     linear_independence_check,
-    oracle_projection,
-    sum_of_projections,
 )
 from .counterexamples import (
     CounterexampleFamily,
@@ -78,7 +76,6 @@ __all__ = [
     "SubspaceFamily",
     "minimal_angle",
     "orthonormalize",
-    "projection_matrix",
     "restricted_norm",
     "sum_operator",
     "CriterionReport",
@@ -92,10 +89,7 @@ __all__ = [
     "ConvergenceReport",
     "ConvergenceStep",
     "convergence_report",
-    "iterate_projection",
     "linear_independence_check",
-    "oracle_projection",
-    "sum_of_projections",
     "CounterexampleFamily",
     "CounterexampleSpec",
     "CounterexampleVerification",

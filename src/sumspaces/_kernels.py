@@ -1,15 +1,9 @@
-"""The power-chain kernel of the projection iteration.
+"""Holds no code; kept only so that the benchmark's tracer can import it.
 
-``power_chain`` walks the power chain of a fixed factor by successive
-multiplication; no binary powering, so the floating-point sequence is the
-one the plain iteration would produce.  ``iteration.iterate_projection``
-builds the d x d iterate with it.
+The power chain that lived here walked the d x d iteration I - (I - A)^N.
+The package no longer forms that iterate: the chain is now a reference
+oracle in ``tests/oracles.py``.  ``perfbench/tracing.py`` still lists
+``sumspaces._kernels`` in ``NAMESPACES`` and ``SPANS`` and imports it by
+name, so deleting this file would stop traced benchmark runs.  It goes
+when the tracer drops those entries.
 """
-
-
-def power_chain(m, n_steps):
-    # m^n_steps by n_steps-1 successive multiplications
-    b = m.copy()
-    for _ in range(n_steps - 1):
-        b = b @ m
-    return b

@@ -1,16 +1,16 @@
-"""Approximating the projection onto a sum of subspaces by iteration.
+"""The errors of the iteration that approximates the projection onto a sum.
 
 With A the sum of the members' orthogonal projections, the operators
 I - (I - A)^N converge to the orthogonal projection P onto the sum of the
 members whenever the spectral criterion holds, and the operator-norm error
 at step N is at most r^N where r is the spectral radius of the angle
-cosine matrix.  The iterates are built by successive multiplication with
-the fixed factor I - A.
+cosine matrix.  The package reports those errors and the certified
+bound; it forms neither A, P nor any iterate, which are d x d.
 
-``convergence_report`` computes the errors without forming a d x d
-matrix.  With S = [B_1 | ... | B_n] (d x K, K the sum of the member
-dimensions) and G = S'S, A = SS' and (I - A)^N = I + S C_N S' for a K x K
-polynomial C_N in G (the push-through identity).  The error
+``convergence_report`` computes the errors in closed form.  With
+S = [B_1 | ... | B_n] (d x K, K the sum of the member dimensions) and
+G = S'S, A = SS' and (I - A)^N = I + S C_N S' for a K x K polynomial C_N
+in G (the push-through identity).  The error
 (I - A)^N - (I - P) vanishes off the sum, and on the sum I - A is
 unitarily similar to I - G, because a certified criterion gives S full
 column rank (G has no kernel).  So the error at step N is ||(I - G)^N||_2,
@@ -25,9 +25,9 @@ symmetric G + dG with ||dG|| a small multiple of the unit roundoff times
 and Stability of Numerical Algorithms, 2002, sec. 3.5).  By Weyl's
 inequality no eigenvalue, hence neither rho nor a frame bound, moves by
 more than the sum of those perturbations.  The step-by-step chain has no
-such a-priori bound, and its roundoff grows with N.  Both chains stay as
-oracles: the d x d chain of I - A in iterate_projection, and the K x K
-chain of I - G in the tests.
+such a-priori bound, and its roundoff grows with N.  Both chains are test
+oracles in tests/oracles.py: the d x d chain of I - A, built from the
+members' projections, and the K x K chain of I - G.
 
 S and G are formed once per family: the criterion's cosine matrix is cut
 from the same G whose eigenvalues give the series, and the independence
@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .criterion import CriterionReport, _cosine_matrix, evaluate_criterion, spectral_radius
 from .errors import CriterionNotSatisfied, InconsistencyError
-from .subspaces import SubspaceFamily, orthonormalize, sum_operator
+from .subspaces import SubspaceFamily, sum_operator
 
 # Minimum singular value of the concatenated-basis operator accepted as
 # evidence of linear independence.
@@ -87,54 +86,18 @@ class ConvergenceReport:
         return self.criterion.spectral_radius
 
 
-def sum_of_projections(f: SubspaceFamily) -> np.ndarray:
-    """A = P_1 + ... + P_n = S S', the sum of the members' projections."""
-    return _outer(sum_operator(f))
-
-
-def _outer(q):
-    """q q', symmetrized."""
-    p = q @ q.T
-    return (p + p.T) / 2.0
-
-
-def oracle_projection(f: SubspaceFamily) -> np.ndarray:
-    """Reference orthogonal projection onto the sum of the members.
-
-    Computed directly by orthonormalizing the concatenated bases,
-    independently of the iteration.  When the sum is the whole ambient
-    space the exact identity is returned.
-    """
-    d = f.ambient_dim
-    u = orthonormalize(sum_operator(f)).basis
-    return np.eye(d) if u.shape[1] == d else _outer(u)
-
-
-def iterate_projection(f: SubspaceFamily, n_steps: int) -> np.ndarray:
-    """The N-th iterate I - (I - A)^N, symmetrized.
-
-    Built by N successive multiplications of the fixed factor I - A.
-    """
-    if n_steps < 1:
-        raise ValueError(f"need n_steps >= 1, got {n_steps}")
-    d = f.ambient_dim
-    m_fac = np.eye(d) - sum_of_projections(f)
-    out = np.eye(d) - _kernels.power_chain(m_fac, n_steps)
-    return (out + out.T) / 2.0
-
-
 def convergence_report(f: SubspaceFamily, n_max: int) -> ConvergenceReport:
     """Track iteration errors for N = 1..n_max with the certified bound.
 
     Requires the spectral criterion to hold; otherwise the geometric bound
     is not certified and CriterionNotSatisfied, carrying the criterion
-    report, is raised (the plain iterate remains available via
-    iterate_projection).
+    report, is raised.  Only the errors are computed: the d x d iterate
+    and the exact projection are reference oracles of the test suite.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     s = sum_operator(f)
-    g = _outer(s.T)
+    g = s.T @ s
     report = evaluate_criterion(_cosine_matrix(f, g))
     if not report.satisfied:
         raise CriterionNotSatisfied(

@@ -1,9 +1,9 @@
 """Subspaces of finite-dimensional real inner-product spaces.
 
-A subspace is stored as an orthonormal basis (dense column matrix); the
-projection matrix is derived from it.  Angles between subspaces reduce to
-singular values of the small cross-Gram matrix of the two bases, which is
-both cheaper and more accurate than forming the d x d projections.
+A subspace is stored as an orthonormal basis (dense column matrix); its
+d x d projection matrix is never formed.  Angles between subspaces reduce
+to singular values of the small cross-Gram matrix of the two bases, which
+is both cheaper and more accurate than forming the projections.
 """
 
 from dataclasses import dataclass
@@ -116,15 +116,6 @@ def orthonormalize(raw) -> Subspace:
         raise AllZeroInput("all columns of the spanning set are numerically zero")
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     return Subspace(d, u[:, :rank])
-
-
-def projection_matrix(s: Subspace) -> np.ndarray:
-    """Orthogonal projection onto ``s`` as a dense d x d matrix.
-
-    Symmetric by construction; idempotent and of trace k up to roundoff.
-    """
-    p = s.basis @ s.basis.T
-    return (p + p.T) / 2.0
 
 
 def restricted_norm(m: Subspace, n: Subspace) -> float:

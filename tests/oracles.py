@@ -1,4 +1,4 @@
-"""Test oracles: the step-by-step and per-block forms of fast paths.
+"""Test oracles: the step-by-step, dense and per-block forms of fast paths.
 
 ``error_series`` is the K x K chain that ``convergence_report`` once
 walked: the norm of each power ``m^N``, read from the eigenvalues of the
@@ -6,11 +6,19 @@ symmetrized power.  The report now reads the same norms in closed form
 from one ``eigvalsh(G)``; this chain is what that closed form is checked
 against.  ``svd_cosine_matrix`` takes one SVD per pair of members, the
 path ``build_e_matrix`` leaves for pairs of lines.
+
+The d x d operators of the paper's iteration live here too, and nowhere
+in the package: ``projection_matrix`` (one member's P_i),
+``sum_of_projections`` (A = P_1 + ... + P_n), ``oracle_projection`` (the
+exact projection P onto the sum) and ``iterate_projection`` (the iterate
+I - (I - A)^N, walked by successive multiplication).  Each costs O(d^2)
+memory and the iterate O(N d^3) time, so they serve as references on
+small families only.
 """
 
 import numpy as np
 
-from sumspaces import EMatrix, sum_operator
+from sumspaces import EMatrix, orthonormalize, sum_operator
 from sumspaces.errors import NumericalError
 
 # Largest Frobenius norm of a step's skew part accepted by error_series.
@@ -64,3 +72,52 @@ def svd_cosine_matrix(f):
             block = g[np.ix_(cols[i], cols[j])]
             entries[i, j] = min(np.linalg.svd(block, compute_uv=False)[0], 1.0)
     return EMatrix(f.n, entries + entries.T)
+
+
+def _outer(q):
+    """q q', symmetrized."""
+    p = q @ q.T
+    return (p + p.T) / 2.0
+
+
+def projection_matrix(s):
+    """Orthogonal projection onto the Subspace ``s`` as a dense d x d matrix.
+
+    Symmetric by construction; idempotent and of trace k up to roundoff.
+    """
+    return _outer(s.basis)
+
+
+def sum_of_projections(f):
+    """A = P_1 + ... + P_n = S S', the sum of the members' projections."""
+    return _outer(sum_operator(f))
+
+
+def oracle_projection(f):
+    """Reference orthogonal projection onto the sum of the members.
+
+    Computed directly by orthonormalizing the concatenated bases,
+    independently of the iteration.  When the sum is the whole ambient
+    space the exact identity is returned.
+    """
+    d = f.ambient_dim
+    u = orthonormalize(sum_operator(f)).basis
+    return np.eye(d) if u.shape[1] == d else _outer(u)
+
+
+def iterate_projection(f, n_steps):
+    """The N-th iterate I - (I - A)^N, symmetrized.
+
+    (I - A)^N is walked by N - 1 successive multiplications of the fixed
+    factor I - A, with no binary powering, so the floating-point sequence
+    is the one the plain iteration produces.
+    """
+    if n_steps < 1:
+        raise ValueError(f"need n_steps >= 1, got {n_steps}")
+    d = f.ambient_dim
+    m_fac = np.eye(d) - sum_of_projections(f)
+    b = m_fac
+    for _ in range(n_steps - 1):
+        b = b @ m_fac
+    out = np.eye(d) - b
+    return (out + out.T) / 2.0

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import line, line_at_angle, random_subspace, sample_family_with_radius_at_most
-from oracles import error_series
+from oracles import (
+    error_series,
+    iterate_projection,
+    oracle_projection,
+    projection_matrix,
+    sum_of_projections,
+)
 from sumspaces import (
     CriterionNotSatisfied,
     InconsistencyError,
@@ -12,13 +18,9 @@ from sumspaces import (
     build_e_matrix,
     convergence_report,
     evaluate_criterion,
-    iterate_projection,
     linear_independence_check,
-    oracle_projection,
     orthonormalize,
-    projection_matrix,
     spectral_radius,
-    sum_of_projections,
     sum_operator,
 )
 
@@ -193,18 +195,26 @@ class TestConvergenceReport:
             convergence_report(orthogonal_pair(), 0)
 
     def test_memory_stays_below_one_ambient_matrix(self):
-        # Three 4-dimensional members of R^2000: the report needs O(dK + K^2)
-        # memory, far below a quarter of one d x d float64 array (8 MB).
+        # Three 4-dimensional members of R^2000: every package entry point
+        # that takes a family needs O(dK + K^2) memory, far below a quarter
+        # of one d x d float64 array (8 MB).
         d = 2000
         rng = np.random.default_rng(2)
         f = SubspaceFamily(d, tuple(random_subspace(rng, d, 4) for _ in range(3)))
+        entry_points = {
+            "project": lambda: convergence_report(f, 3),
+            "analyze": lambda: evaluate_criterion(build_e_matrix(f)),
+            "independence": lambda: linear_independence_check(f),
+        }
         tracemalloc.start()
         try:
-            convergence_report(f, 3)
-            _, peak = tracemalloc.get_traced_memory()
+            for name, run in entry_points.items():
+                tracemalloc.reset_peak()
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak < d * d * 8 / 4, (name, peak)
         finally:
             tracemalloc.stop()
-        assert peak < d * d * 8 / 4
 
 
 def orthogonal_planes():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import error_series
-from sumspaces import _kernels
+from conftest import sample_family_with_radius_at_most
+from oracles import error_series, iterate_projection, sum_of_projections
 from sumspaces.errors import NumericalError
 
 
@@ -16,11 +16,15 @@ def random_contraction(rng, d, r=0.8):
 
 
 def test_power_chain_matches_matrix_power():
+    # iterate_projection walks the chain of I - A, a contraction on the sum
+    # when the criterion holds, by successive multiplication.
     rng = np.random.default_rng(0)
-    m = random_contraction(rng, 12)
+    f = sample_family_with_radius_at_most(rng, 0.9)
+    eye = np.eye(f.ambient_dim)
+    m = eye - sum_of_projections(f)
     for n in (1, 2, 7):
         np.testing.assert_allclose(
-            _kernels.power_chain(m, n), np.linalg.matrix_power(m, n), atol=1e-13
+            eye - iterate_projection(f, n), np.linalg.matrix_power(m, n), atol=1e-13
         )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line, line_at_angle, random_subspace
+from oracles import projection_matrix
 from sumspaces import (
     AllZeroInput,
     DimensionMismatch,
@@ -13,7 +14,6 @@ from sumspaces import (
     SubspaceFamily,
     minimal_angle,
     orthonormalize,
-    projection_matrix,
     restricted_norm,
     sum_operator,
 )
