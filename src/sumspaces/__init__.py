@@ -30,6 +30,7 @@ from .subspaces import (
     SubspaceFamily,
     minimal_angle,
     orthonormalize,
+    orthonormalize_all,
     restricted_norm,
     sum_operator,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "SubspaceFamily",
     "minimal_angle",
     "orthonormalize",
+    "orthonormalize_all",
     "restricted_norm",
     "sum_operator",
     "CriterionReport",

@@ -138,11 +138,15 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     Sign convention: the first coordinate of magnitude above 1e-12 is
     positive.
     """
-    w, v = np.linalg.eigh(e.entries)
+    return _principal_eigenvector(e, *np.linalg.eigh(e.entries))
+
+
+def _principal_eigenvector(e, w, u):
+    """``principal_eigenvector(e)`` from the eigendecomposition E = U diag(w) U'."""
     r = float(w[-1])
     if abs(r - 1.0) > BOUNDARY_BAND:
         raise NotBoundary(f"spectral radius {r:.12g} is not 1 within tolerance")
-    c = v[:, -1]
+    c = u[:, -1]
     for x in c:
         if abs(x) > 1e-12:
             if x < 0:
@@ -164,10 +168,14 @@ def gram_vectors(e: EMatrix, alpha) -> np.ndarray:
     Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  A sequence
     of K alphas gives the (K, n, n) stack, all from one eigh(E).
     """
+    return _gram_vectors(e, alpha, *np.linalg.eigh(e.entries))
+
+
+def _gram_vectors(e, alpha, w, u):
+    """``gram_vectors(e, alpha)`` from the eigendecomposition E = U diag(w) U'."""
     alphas = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    w, u = np.linalg.eigh(e.entries)
     lam = 1.0 - alphas[..., None] * w
     if lam.min() <= 0.0:
         raise NotPositiveDefinite(
@@ -191,8 +199,10 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
     subspace of R^(n*K).
     """
     n, big_k = spec.e.n, spec.K
-    c = principal_eigenvector(spec.e)
-    blocks = gram_vectors(spec.e, spec.alphas)
+    # c is the last column of the U that the block vectors are built from
+    w, u = np.linalg.eigh(spec.e.entries)
+    c = _principal_eigenvector(spec.e, w, u)
+    blocks = _gram_vectors(spec.e, spec.alphas, w, u)
     d, ks = n * big_k, np.arange(big_k)
     members = []
     for i in range(n):

@@ -6,7 +6,15 @@ class SumspacesError(Exception):
 
 
 class AllZeroInput(SumspacesError, ValueError):
-    """Raised when a spanning set contains only numerically zero columns."""
+    """Raised when a spanning set contains only numerically zero columns.
+
+    ``index`` is the position of that spanning set among those given to
+    ``orthonormalize_all``; it is 0 when raised by ``orthonormalize``.
+    """
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatch(SumspacesError, ValueError):

@@ -1,27 +1,34 @@
 """JSON/CSV serialization of families, cosine matrices and reports.
 
 Family files carry spanning sets as row vectors; they are orthonormalized
-on load, so hand-written files need not be orthonormal.  Floats are
+on load, so hand-written files need not be orthonormal.  The loader
+validates the members one by one, then orthonormalizes them in one batch
+per spanning-set shape (one stacked Gram test and one stacked SVD), so a
+family of 300 lines takes one SVD, not 300.  An input file is read once:
+the report's digest is taken from the bytes the loader read.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it
 reproduces identical numbers.  Every JSON output goes through one writer
 that puts one vector or matrix row per line: a counterexample family file
 is about a third of the size of a fully indented one, with the same
 numbers.  Families and cosine matrices reach the writer as float arrays,
-whose rows are assembled from runs of equal neighbours: a counterexample
-family is almost all ``0.0`` in long runs, so it costs Python work per
-run, not per entry.
+whose rows are assembled from runs of equal neighbours, a run of n equal
+entries being its text repeated n times: a counterexample family is
+almost all ``0.0`` in long runs, so it costs Python work per run, not per
+entry.
 """
 
 import hashlib
 import json
 import os
 import secrets
+import stat
 import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from io import BytesIO, TextIOWrapper
 from itertools import repeat
 
 import numpy as np
@@ -30,18 +37,27 @@ from ._version import __version__
 from .counterexamples import CounterexampleVerification
 from .criterion import CriterionReport, EMatrix
 from .iteration import ConvergenceReport
-from .subspaces import SubspaceFamily, orthonormalize
+from .errors import AllZeroInput
+from .subspaces import SubspaceFamily, orthonormalize_all
 
 # JSON containers; a container holding none of these is written on one line.
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+
+# The regular file a loader read last, as (_file_identity, SHA-256 of the
+# bytes read); report_metadata takes the digest from here.
+_last_read = (None, None)
 
 
 def load_family(path):
     """Read a family file; returns (SubspaceFamily, member names).
 
-    Each entry's vectors are treated as a spanning set and orthonormalized;
-    a warning is emitted when the numerical rank falls short of the number
-    of supplied vectors.
+    Each entry's vectors are treated as a spanning set.  Every entry is
+    validated first, in order; then all are orthonormalized together, in
+    one batch per shape (``orthonormalize_all``), and a warning is
+    emitted, in order, for each whose numerical rank falls short of the
+    number of supplied vectors.  When an entry is invalid, the entries
+    before it are orthonormalized and warned about before the error is
+    raised, so the warnings come first, as they would one entry at a time.
     """
     doc, may_hold_bools = _read_object(path, "family")
     d = _integer_field(doc, "ambient_dim", "family")
@@ -51,33 +67,56 @@ def load_family(path):
     if not isinstance(entries, list) or not entries:
         raise ValueError("subspaces must be a non-empty list")
 
-    members, names = [], []
+    arrays, names = [], []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"subspace entry {idx} must be a JSON object")
-        name = str(entry.get("name", f"X{idx + 1}"))
-        vectors = entry.get("vectors")
-        if not isinstance(vectors, list) or not vectors:
-            raise ValueError(f"subspace {name!r} needs at least one vector")
-        arr = _number_array(
-            vectors, f"subspace {name!r}: vectors", may_hold_bools
-        )
-        if arr.ndim != 2 or arr.shape[1] != d:
-            raise ValueError(
-                f"subspace {name!r}: vectors must all have length {d}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError(f"subspace {name!r}: vectors must be finite")
-        sub = orthonormalize(arr.T)
+        try:
+            name, arr = _member_vectors(idx, entry, d, may_hold_bools)
+        except ValueError:
+            _orthonormalized(arrays, names)
+            raise
+        arrays.append(arr)
+        names.append(name)
+    # the parsed document is no longer needed: free it before stacking
+    del doc, entries, entry
+    return SubspaceFamily(d, tuple(_orthonormalized(arrays, names))), names
+
+
+def _member_vectors(idx, entry, d, may_hold_bools):
+    """The name and the finite (m, d) vector array of family entry ``idx``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"subspace entry {idx} must be a JSON object")
+    name = str(entry.get("name", f"X{idx + 1}"))
+    vectors = entry.get("vectors")
+    if not isinstance(vectors, list) or not vectors:
+        raise ValueError(f"subspace {name!r} needs at least one vector")
+    arr = _number_array(vectors, f"subspace {name!r}: vectors", may_hold_bools)
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise ValueError(f"subspace {name!r}: vectors must all have length {d}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"subspace {name!r}: vectors must be finite")
+    return name, arr
+
+
+def _orthonormalized(arrays, names):
+    """Subspaces spanned by the rows of each array, with a warning per rank deficit.
+
+    An all-zero array raises AllZeroInput naming its member, after the
+    warnings of the members before it.
+    """
+    try:
+        members = orthonormalize_all([arr.T for arr in arrays])
+    except AllZeroInput as exc:
+        first = exc.index
+        _orthonormalized(arrays[:first], names[:first])
+        raise AllZeroInput(f"subspace {names[first]!r}: {exc}", first) from None
+    for name, arr, sub in zip(names, arrays, members):
         if sub.dim < arr.shape[0]:
             warnings.warn(
                 f"subspace {name!r}: numerical rank {sub.dim} is below the "
                 f"{arr.shape[0]} supplied vectors",
-                stacklevel=2,
+                stacklevel=3,
             )
-        members.append(sub)
-        names.append(name)
-    return SubspaceFamily(d, tuple(members)), names
+    return members
 
 
 def save_family(path, family: SubspaceFamily, names=None):
@@ -140,14 +179,24 @@ def verification_section(record: CounterexampleVerification) -> dict:
 def report_metadata(input_path) -> dict:
     """Report metadata; ``input_sha256`` is the digest of the input file.
 
-    It is None when the input is not a regular file after following
-    links (a pipe, ``/dev/stdin``): the loader has consumed such an input,
-    and reading it again would hash nothing.
+    When the input is the regular file a loader read last, unchanged
+    since (see ``_file_identity``), the digest is the one ``_read_object``
+    took of the bytes it read, so the file is read once per command.  Any
+    other regular file is read and hashed here.  The digest is None when
+    the input is not a regular file after following links (a pipe,
+    ``/dev/stdin``): the loader has consumed such an input, and reading
+    it again would hash nothing.
     """
+    try:
+        st = os.stat(input_path)
+    except (OSError, ValueError):
+        st = None
     digest = None
-    if os.path.isfile(input_path):
-        with open(input_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+    if st is not None and stat.S_ISREG(st.st_mode):
+        identity, digest = _last_read
+        if identity != _file_identity(st):
+            with open(input_path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "input_sha256": digest,
         "tool_version": __version__,
@@ -218,10 +267,19 @@ def _read_object(path, kind):
 
     Returns the object and whether the text holds ``true`` or ``false``
     anywhere, strings included: a file without either holds no boolean,
-    which spares ``_number_array`` a scan of every entry.
+    which spares ``_number_array`` a scan of every entry.  The file is
+    read once, as bytes; when it is a regular file, their SHA-256 is kept
+    for ``report_metadata``.  The bytes are decoded as ``open(path)``
+    would decode them, and freed before parsing.
     """
-    with open(path) as fh:
-        text = fh.read()
+    global _last_read
+    with open(path, "rb") as fh:
+        data = fh.read()
+        st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        _last_read = (_file_identity(st), hashlib.sha256(data).hexdigest())
+    text = TextIOWrapper(BytesIO(data)).read()
+    del data
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -229,6 +287,11 @@ def _read_object(path, kind):
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
     return doc, _holds_boolean_literal(text)
+
+
+def _file_identity(st):
+    """The ``stat`` fields that change when a file is replaced or rewritten."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _holds_boolean_literal(text):
@@ -334,10 +397,11 @@ def _row_texts(a):
     different payloads) stay apart.  The first entries of the runs are
     formatted by one ``json.dumps`` of their list, which gives the C
     encoder's text for each (``Infinity`` included).  A run of length L
-    becomes ``", ".join([text] * L)`` and each row joins its runs, so the
-    Python-level work grows with the number of runs, not of entries.  A
-    counterexample family is mostly long runs of ``0.0``: the 16-member
-    ring with 40 blocks has 11,488 runs in 409,600 entries.
+    becomes ``(text + ", ") * L``, and each row joins its runs and drops
+    the last ``", "``, so the Python-level work grows with the number of
+    runs, not of entries.  A counterexample family is mostly long runs of
+    ``0.0``: the 16-member ring with 40 blocks has 11,488 runs in 409,600
+    entries.
     """
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array as JSON")
@@ -352,6 +416,6 @@ def _row_texts(a):
     starts = np.flatnonzero(head)
     texts = json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", ")
     lengths = np.diff(starts, append=bits.size).tolist()
-    runs = [t if n == 1 else ", ".join([t] * n) for t, n in zip(texts, lengths)]
+    runs = [(t + ", ") * n for t, n in zip(texts, lengths)]
     ends = np.cumsum(np.count_nonzero(head.reshape(rows, cols), axis=1)).tolist()
-    return ["[" + ", ".join(runs[s:e]) + "]" for s, e in zip([0, *ends], ends)]
+    return ["[" + "".join(runs[s:e])[:-2] + "]" for s, e in zip([0, *ends], ends)]

@@ -90,32 +90,68 @@ class SubspaceFamily:
 def orthonormalize(raw) -> Subspace:
     """Build a Subspace from an arbitrary d x m spanning set.
 
-    The returned basis spans the column space of ``raw``; numerically
-    dependent columns are dropped (rank cut at RANK_RTOL relative to the
-    largest singular value).  Input that is already orthonormal to within
-    1e-12 is returned unchanged, so re-ingesting a stored basis is exact.
+    The one-member case of ``orthonormalize_all``: the returned basis
+    spans the column space of ``raw``, numerically dependent columns are
+    dropped, and input that is already orthonormal to within 1e-12 is
+    returned unchanged, so re-ingesting a stored basis is exact.
 
     Raises AllZeroInput when every column is numerically zero.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2:
-        raise ValueError(f"expected a 2-D spanning set, got shape {raw.shape}")
-    d, m = raw.shape
-    if d < 1 or m < 1:
-        raise ValueError("spanning set must have at least one row and column")
+    return orthonormalize_all([raw])[0]
 
-    if m <= d:
-        # an overflowed Gram matrix is not the identity: the SVD path runs
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = raw.T @ raw
-        if np.abs(gram - np.eye(m)).max() <= 1e-12:
-            return Subspace(d, raw)
 
-    u, s, _ = np.linalg.svd(raw, full_matrices=False)
-    if s[0] <= ZERO_ATOL:
-        raise AllZeroInput("all columns of the spanning set are numerically zero")
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    return Subspace(d, u[:, :rank])
+def orthonormalize_all(raws) -> list:
+    """Build one Subspace per d x m spanning set in ``raws``, in order.
+
+    Each basis spans the column space of its spanning set; numerically
+    dependent columns are dropped (rank cut at RANK_RTOL relative to the
+    largest singular value).  A spanning set that is already orthonormal
+    to within 1e-12 is returned unchanged, so re-ingesting a stored basis
+    is exact.  The spanning sets are batched by shape: each shape takes
+    one stacked Gram test and one stacked SVD of the sets that fail it.
+    A stacked SVD gives the bits of one SVD per set, so the result does
+    not depend on what else is in the batch.
+
+    Raises ValueError for a spanning set that is not 2-D or is empty, and
+    AllZeroInput for the first set, in order, whose columns are all
+    numerically zero; its position is the exception's ``index``.
+    """
+    raws = [np.asarray(raw, dtype=float) for raw in raws]
+    groups = {}
+    for i, raw in enumerate(raws):
+        if raw.ndim != 2:
+            raise ValueError(f"expected a 2-D spanning set, got shape {raw.shape}")
+        if 0 in raw.shape:
+            raise ValueError("spanning set must have at least one row and column")
+        groups.setdefault(raw.shape, []).append(i)
+
+    bases = list(raws)
+    zero = []
+    for (d, m), members in groups.items():
+        stack = np.stack([raws[i] for i in members])
+        need = np.ones(len(members), dtype=bool)
+        if m <= d:
+            # an overflowed Gram matrix is not the identity: the SVD runs
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = stack.transpose(0, 2, 1) @ stack
+                need = ~(np.abs(gram - np.eye(m)).max(axis=(1, 2)) <= 1e-12)
+            if not need.any():
+                continue
+        u, s, _ = np.linalg.svd(
+            stack if need.all() else stack[need], full_matrices=False
+        )
+        del stack
+        ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1).tolist()
+        top = s[:, 0].tolist()
+        for j, i in enumerate(np.flatnonzero(need).tolist()):
+            if top[j] <= ZERO_ATOL:
+                zero.append(members[i])
+            bases[members[i]] = u[j, :, : ranks[j]]
+    if zero:
+        raise AllZeroInput(
+            "all columns of the spanning set are numerically zero", min(zero)
+        )
+    return [Subspace(raw.shape[0], basis) for raw, basis in zip(raws, bases)]
 
 
 def restricted_norm(m: Subspace, n: Subspace) -> float:

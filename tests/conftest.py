@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sumspaces import SubspaceFamily, build_e_matrix, orthonormalize, spectral_radius
 
@@ -37,3 +38,17 @@ def sample_family_with_radius_at_most(
         if spectral_radius(build_e_matrix(f)) <= r_max:
             return f
     raise RuntimeError("rejection sampling failed to find a family in budget")
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.svd`` during the test."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes

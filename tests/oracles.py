@@ -6,6 +6,8 @@ symmetrized power.  The report now reads the same norms in closed form
 from one ``eigvalsh(G)``; this chain is what that closed form is checked
 against.  ``svd_cosine_matrix`` takes one SVD per pair of members, the
 path ``build_e_matrix`` leaves for pairs of lines.
+``per_member_basis`` orthonormalizes one spanning set with its own 2-D
+Gram test and SVD, as ``orthonormalize`` did before it was batched.
 
 The d x d operators of the paper's iteration live here too, and nowhere
 in the package: ``projection_matrix`` (one member's P_i),
@@ -20,6 +22,7 @@ import numpy as np
 
 from sumspaces import EMatrix, orthonormalize, sum_operator
 from sumspaces.errors import NumericalError
+from sumspaces.subspaces import RANK_RTOL
 
 # Largest Frobenius norm of a step's skew part accepted by error_series.
 SKEW_TOL = 1e-10
@@ -72,6 +75,23 @@ def svd_cosine_matrix(f):
             block = g[np.ix_(cols[i], cols[j])]
             entries[i, j] = min(np.linalg.svd(block, compute_uv=False)[0], 1.0)
     return EMatrix(f.n, entries + entries.T)
+
+
+def per_member_basis(raw):
+    """Orthonormal basis of one non-zero d x m spanning set, alone.
+
+    The spanning set itself when its Gram matrix is the identity to within
+    1e-12, else the left singular vectors of its own SVD up to the rank
+    cut at RANK_RTOL.
+    """
+    d, m = raw.shape
+    if m <= d:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = raw.T @ raw
+        if np.abs(gram - np.eye(m)).max() <= 1e-12:
+            return raw
+    u, s, _ = np.linalg.svd(raw, full_matrices=False)
+    return u[:, : np.count_nonzero(s > RANK_RTOL * s[0])]
 
 
 def _outer(q):

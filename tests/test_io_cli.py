@@ -30,7 +30,12 @@ from sumspaces import (
 )
 from sumspaces import cli
 from sumspaces.cli import main
-from sumspaces.errors import InconsistencyError, NumericalError, VerificationFailed
+from sumspaces.errors import (
+    AllZeroInput,
+    InconsistencyError,
+    NumericalError,
+    VerificationFailed,
+)
 
 
 def write_family_file(path, vectors_by_name, ambient_dim):
@@ -51,6 +56,14 @@ def orthogonal_lines_file(tmp_path):
         {"X1": [[1.0, 0.0]], "X2": [[0.0, 1.0]]},
         2,
     )
+
+
+def three_hundred_lines_file(tmp_path):
+    """300 lines of random lengths in R^400, none a unit vector."""
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(300, 400)) * rng.uniform(0.5, 2.0, size=(300, 1))
+    vectors = {f"X{i + 1}": [row] for i, row in enumerate(rows.tolist())}
+    return write_family_file(tmp_path / "lines.json", vectors, 400)
 
 
 def sixty_degree_file(tmp_path):
@@ -172,6 +185,43 @@ class TestFamilyFiles:
         )
         with pytest.raises(ValueError, match="subspace 'B': vectors must be finite"):
             io.load_family(path)
+
+    def test_all_zero_vectors_name_the_subspace(self, tmp_path):
+        path = write_family_file(
+            tmp_path / "zero.json", {"A": [[1.0, 0.0]], "B": [[0.0, 0.0]]}, 2
+        )
+        with pytest.raises(AllZeroInput, match="^subspace 'B': all columns"):
+            io.load_family(path)
+
+    def test_three_hundred_lines_take_one_svd(self, tmp_path, svd_shapes):
+        family, _ = io.load_family(three_hundred_lines_file(tmp_path))
+        assert svd_shapes == [(300, 400, 1)]
+        assert family.n == 300
+
+    def test_one_svd_per_shape_that_needs_one(self, tmp_path, svd_shapes):
+        rng = np.random.default_rng(2)
+        dims = [1, 2, 1, 3, 2, 1]
+        vectors = {f"X{i}": rng.normal(size=(k, 5)).tolist() for i, k in enumerate(dims)}
+        # Y1 and Y2 are orthonormal: they pass the Gram test and stay out
+        # of their shapes' SVDs
+        vectors |= {"Y1": [[1.0, 0, 0, 0, 0], [0, 0, 1.0, 0, 0]], "Y2": [[0, 0, 0, 0, 1.0]]}
+        path = write_family_file(tmp_path / "mixed.json", vectors, 5)
+        family, _ = io.load_family(path)
+        assert sorted(svd_shapes) == [(1, 5, 3), (2, 5, 2), (3, 5, 1)]
+        assert [m.dim for m in family.members] == [*dims, 2, 1]
+
+    def test_load_peak_memory(self, tmp_path):
+        # The unbatched loader peaked at 6.42 MB on this 2.5 MB file, and a
+        # batched loader that keeps the parsed document alive at 7.05 MB.
+        path = three_hundred_lines_file(tmp_path)
+        io.load_family(path)
+        tracemalloc.start()
+        try:
+            io.load_family(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.7e6
 
 
 class TestEMatrixFiles:
@@ -335,6 +385,30 @@ class TestAnalyzeCommand:
         doc = json.loads(capsys.readouterr().out)
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert doc["metadata"]["input_sha256"] == expected
+
+    def test_input_is_read_once(self, tmp_path, capsys, monkeypatch):
+        path = orthogonal_lines_file(tmp_path)
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", spy, raising=False)
+        assert main(["analyze", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert opened == [str(path)]
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert doc["metadata"]["input_sha256"] == expected
+
+    def test_digest_follows_a_file_changed_since_loading(self, tmp_path):
+        path = orthogonal_lines_file(tmp_path)
+        other = sixty_degree_file(tmp_path)
+        io.load_family(path)
+        path.write_text(path.read_text() + "\n")
+        for p in (path, other):
+            expected = hashlib.sha256(p.read_bytes()).hexdigest()
+            assert io.report_metadata(p)["input_sha256"] == expected
 
     def test_duplicate_subspace_boundary_exit(self, tmp_path):
         path = write_family_file(
@@ -900,6 +974,49 @@ class TestCommandBoundary:
         lines = stderr_lines(capsys.readouterr())
         assert [line.split(":")[0] for line in lines] == ["notice", "error"]
         assert lines[1] == "error: subspace 'X2': vectors must be finite"
+
+    @pytest.mark.parametrize(
+        "x3, error",
+        [
+            ([[float("nan"), 0.0, 0.0]], "error: subspace 'X3': vectors must be finite"),
+            (
+                [[0.0, 0.0, 0.0]],
+                "error: subspace 'X3': all columns of the spanning set are "
+                "numerically zero",
+            ),
+        ],
+        ids=["invalid", "all-zero"],
+    )
+    def test_notice_comes_before_error_in_another_shape(
+        self, tmp_path, capsys, x3, error
+    ):
+        # X1 and X3 are lines and X2 a plane: X3 fails in a shape group
+        # that is batched apart from the rank-deficient X2
+        path = write_family_file(
+            tmp_path / "mixed.json",
+            {
+                "X1": [[1.0, 0.0, 0.0]],
+                "X2": [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]],
+                "X3": x3,
+            },
+            3,
+        )
+        assert main(["analyze", str(path)]) == 1
+        lines = stderr_lines(capsys.readouterr())
+        assert [line.split(":")[0] for line in lines] == ["notice", "error"]
+        assert lines[0].startswith("notice: subspace 'X2': numerical rank 1")
+        assert lines[1] == error
+
+    def test_all_zero_member_is_named(self, tmp_path, capsys):
+        path = write_family_file(
+            tmp_path / "zero.json", {"A": [[1.0, 0.0]], "B": [[0.0, 0.0]]}, 2
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stderr_lines(captured) == [
+            "error: subspace 'B': all columns of the spanning set are numerically zero"
+        ]
 
     @pytest.mark.parametrize(
         "argv",

@@ -312,10 +312,12 @@ class TestBuildCounterexample:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        build_counterexample(spec)
-        # the principal eigenvector's and the Gram factors' eigh(E)
-        assert len(shapes) <= 2
-        assert all(shape == (n, n) for shape in shapes)
+        cf = build_counterexample(spec)
+        # c and the Gram factors share one eigh(E)
+        assert shapes == [(n, n)]
+        monkeypatch.undo()
+        assert np.array_equal(cf.c, principal_eigenvector(spec.e))
+        assert np.array_equal(cf.block_vectors, gram_vectors(spec.e, spec.alphas))
 
     def test_measured_e_matrix_is_scaled_input(self):
         e = all_equal_boundary(4)

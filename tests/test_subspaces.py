@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line, line_at_angle, random_subspace
-from oracles import projection_matrix
+from oracles import per_member_basis, projection_matrix
 from sumspaces import (
     AllZeroInput,
     DimensionMismatch,
@@ -14,6 +14,7 @@ from sumspaces import (
     SubspaceFamily,
     minimal_angle,
     orthonormalize,
+    orthonormalize_all,
     restricted_norm,
     sum_operator,
 )
@@ -67,6 +68,67 @@ class TestOrthonormalize:
             s = orthonormalize(np.array([[1e300, 0.0], [0.0, -1e300]]))
         assert s.dim == 2
         assert np.abs(s.basis.T @ s.basis - np.eye(2)).max() <= 1e-10
+
+
+def spanning_set(rng, d, m, kind):
+    """A d x m spanning set: ``random`` columns of random length,
+    ``orthonormal`` columns (random ones when m > d), or ``deficient``
+    columns of rank below min(d, m) (full rank when that is 1)."""
+    if kind == "orthonormal" and m <= d:
+        return np.linalg.qr(rng.normal(size=(d, m)))[0]
+    if kind == "deficient" and min(d, m) > 1:
+        r = int(rng.integers(1, min(d, m)))
+        return rng.normal(size=(d, r)) @ rng.normal(size=(r, m))
+    return rng.normal(size=(d, m)) * rng.uniform(0.5, 2.0, size=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(
+        st.tuples(
+            st.integers(1, 5),
+            st.integers(1, 6),
+            st.sampled_from(["random", "orthonormal", "deficient"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batch_equals_member_by_member(seed, shapes):
+    rng = np.random.default_rng(seed)
+    raws = [spanning_set(rng, d, m, kind) for d, m, kind in shapes]
+    batch = orthonormalize_all(raws)
+    assert len(batch) == len(raws)
+    for raw, sub, (d, m, kind) in zip(raws, batch, shapes):
+        assert np.array_equal(sub.basis, orthonormalize(raw).basis)
+        assert np.array_equal(sub.basis, per_member_basis(raw))
+        if kind == "orthonormal" and m <= d:
+            assert np.array_equal(sub.basis, raw)
+
+
+class TestOrthonormalizeAll:
+    def test_empty_batch(self):
+        assert orthonormalize_all([]) == []
+
+    def test_wide_sets_skip_the_gram_test(self, svd_shapes):
+        rng = np.random.default_rng(5)
+        raws = [rng.normal(size=(3, 5)), np.eye(3, 5), rng.normal(size=(3, 1))]
+        subs = orthonormalize_all(raws)
+        # more columns than rows: never orthonormal, so all take the SVD
+        assert sorted(svd_shapes) == [(1, 3, 1), (2, 3, 5)]
+        assert [s.dim for s in subs] == [3, 3, 1]
+
+    def test_first_all_zero_set_is_named_by_index(self):
+        raws = [np.ones((3, 1)), np.zeros((2, 2)), np.zeros((3, 1))]
+        # the (3, 1) group holds the later zero set and comes first
+        with pytest.raises(AllZeroInput, match="numerically zero") as info:
+            orthonormalize_all(raws)
+        assert info.value.index == 1
+
+    def test_rejects_a_set_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            orthonormalize_all([np.eye(2), np.ones(2)])
 
 
 class TestSubspaceValidation:
