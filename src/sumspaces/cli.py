@@ -19,6 +19,7 @@ is printed as one ``notice:`` line.
 import argparse
 import sys
 import warnings
+from dataclasses import asdict
 
 from . import io
 from .counterexamples import (
@@ -162,7 +163,7 @@ def _cmd_counterexample(args) -> int:
         io.save_family(stage(args.out), cf.family)
         if args.verify:
             doc = {
-                "verification": io.verification_section(record),
+                "verification": asdict(record),
                 "spectral_radius_input": spec.input_radius,
                 "alphas": list(spec.alphas),
                 "metadata": io.report_metadata(args.ematrix),

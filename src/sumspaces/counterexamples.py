@@ -63,7 +63,7 @@ class CounterexampleSpec:
                 f"spectral radius {r:.12g} exceeds 1; rescaling entries by 1/r",
                 stacklevel=2,
             )
-        # spectral_radius reads w[-1] of the same eigh(E) that gram_vectors uses
+        # spectral_radius reads w[-1] of the same eigh(E) as build_counterexample
         entries = self.e.entries / r
         while spectral_radius(e := EMatrix(self.e.n, entries)) > 1.0:
             entries = np.nextafter(entries, 0.0)
@@ -81,19 +81,18 @@ class CounterexampleFamily:
     """Constructed family with its per-block unit vectors and eigenvector.
 
     ``family`` has n members of dimension K in R^(n*K); block k occupies
-    coordinates [k*n, (k+1)*n).  ``block_vectors[k]`` is the n x n matrix
-    whose column i is the block-k unit vector of member i.  ``c`` is the
-    unit eigenvector with E c = c used by the degeneration witness.
+    coordinates [k*n, (k+1)*n).  ``block_vectors`` is a read-only copy of
+    the (K, n, n) stack given, block k holding as column i the block-k
+    unit vector of member i; check (b) needs one block per alpha.  ``c``
+    is the unit eigenvector with E c = c used by the degeneration witness.
     """
 
     family: SubspaceFamily
-    block_vectors: tuple
+    block_vectors: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "block_vectors", tuple(_frozen_array(v) for v in self.block_vectors)
-        )
+        object.__setattr__(self, "block_vectors", _frozen_array(self.block_vectors))
         object.__setattr__(self, "c", _frozen_array(self.c))
 
 
@@ -210,8 +209,7 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
         # blocks[k, j, i] goes to basis[k*n + j, k], as _diagonal_blocks reads
         basis.reshape(big_k, n, big_k)[ks, :, ks] = blocks[:, :, i]
         members.append(Subspace(d, basis))
-    family = SubspaceFamily(d, tuple(members))
-    return CounterexampleFamily(family, tuple(blocks), c)
+    return CounterexampleFamily(SubspaceFamily(d, tuple(members)), blocks, c)
 
 
 def verify_counterexample(
@@ -219,25 +217,25 @@ def verify_counterexample(
 ) -> CounterexampleVerification:
     """Check a constructed family against its defining identities.
 
-    Verifies (a) the family has one member per row of the spec's matrix
-    and measured pairwise cosines equal alpha_K * e_ij (compared over the
-    members both have), (b) the squared norm of the c-weighted
-    combination in each block equals 1 - alpha_k, (c) the squared least
-    singular value of the concatenated-basis operator S is at most
-    1 - alpha_K, (d) it is still positive, and (e) S is block diagonal:
-    the family has n members of dimension K in R^(n*K) (n and K taken
-    from the family) and column k of every member lies on coordinates
-    [k*n, (k+1)*n).  Check (b) reads ``cf.block_vectors`` and ``cf.c``;
-    the others are measured from ``cf.family``.  When (e) holds, every
-    cross-Gram block B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k
-    the k-th diagonal n x n block of S, so the cosines are
-    max_k |(V_k'V_k)_ij| from one batched product and the singular values
-    come from one batched SVD of the blocks: neither S nor its nK x nK
-    Gram matrix is formed.  Only when (e) fails are the cosines cut from
-    S'S and the singular values taken from an SVD of the whole of S, so
-    ``sigma_min`` is always the least singular value of S.  Raises
-    VerificationFailed naming the first violated check, taking (e)
-    before (c) and (d); the exception carries the full record.
+    Verifies (a) the family has one member per row of the spec's matrix and
+    measured pairwise cosines equal alpha_K * e_ij (compared over the
+    members both have), (b) there is one block per alpha and the squared
+    norm of the c-weighted combination in block k is 1 - alpha_k (compared
+    over the blocks both have), (c) the squared least singular value of the
+    concatenated-basis operator S is at most 1 - alpha_K, (d) it is still
+    positive, and (e) S is block diagonal: the family has n members of
+    dimension K in R^(n*K) (n and K taken from the family) and column k of
+    every member lies on coordinates [k*n, (k+1)*n).  Check (b) reads the
+    (K, n, n) stack ``cf.block_vectors`` and ``cf.c``; the others are
+    measured from ``cf.family``.  When (e) holds, every cross-Gram block
+    B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k the k-th diagonal
+    n x n block of S, so the cosines are max_k |(V_k'V_k)_ij| from one
+    batched product and the singular values come from one batched SVD of the
+    blocks: neither S nor its nK x nK Gram matrix is formed.  Only when (e)
+    fails are the cosines cut from S'S and the singular values taken from an
+    SVD of the whole of S, so ``sigma_min`` is always the least singular
+    value of S.  Raises VerificationFailed naming the first violated check,
+    taking (e) before (c) and (d); the exception carries the full record.
     """
     e = spec.e
     n = e.n
@@ -269,15 +267,17 @@ def verify_counterexample(
         if abs(p.measured - p.target) > 1e-9
     ]
 
-    combo_residuals = []
-    for k, (alpha, v) in enumerate(zip(spec.alphas, cf.block_vectors)):
-        norm_sq = float(np.sum((v @ cf.c) ** 2))
-        resid = abs(norm_sq - (1.0 - alpha))
-        combo_residuals.append(resid)
-        if resid > 1e-10:
-            failures.append(
-                f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
-            )
+    big_k = len(cf.block_vectors)
+    if big_k != spec.K:
+        failures.append(f"family has {big_k} blocks but the spec has {spec.K} alphas")
+    alphas = spec.alphas[:big_k]
+    norms_sq = np.sum((cf.block_vectors[:len(alphas)] @ cf.c) ** 2, axis=-1)
+    combo_residuals = np.abs(norms_sq - (1.0 - np.array(alphas))).tolist()
+    failures += [
+        f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
+        for k, (alpha, resid) in enumerate(zip(alphas, combo_residuals))
+        if resid > 1e-10
+    ]
 
     if blocks is None:
         failures.append(

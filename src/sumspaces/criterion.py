@@ -165,6 +165,9 @@ def spectral_radius(e: EMatrix) -> float:
 
     The returned eigenpair is residual-checked against the matrix.  A
     radius beyond the largest double raises NumericalError.
+    ``CounterexampleSpec`` relies on this being ``np.linalg.eigh`` of
+    ``e.entries``: switched to ``eigvalsh``, it could leave the
+    counterexample build's top eigenvalue above 1 at K = 53.
     """
     w, v = np.linalg.eigh(e.entries)
     lam = float(w[-1])

@@ -26,7 +26,6 @@ import stat
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import datetime, timezone
 from io import BytesIO, TextIOWrapper
 from itertools import repeat
@@ -34,7 +33,6 @@ from itertools import repeat
 import numpy as np
 
 from ._version import __version__
-from .counterexamples import CounterexampleVerification
 from .criterion import CriterionReport, EMatrix
 from .iteration import ConvergenceReport
 from .errors import AllZeroInput
@@ -170,10 +168,6 @@ def convergence_section(report: ConvergenceReport) -> dict:
             "a_restricted_deviation": report.a_restricted_deviation,
         },
     }
-
-
-def verification_section(record: CounterexampleVerification) -> dict:
-    return asdict(record)
 
 
 def report_metadata(input_path) -> dict:

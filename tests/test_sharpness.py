@@ -511,3 +511,61 @@ class TestBlockCosines:
         rows, cols = np.triu_indices(n, 1)
         expected = svd_cosine_matrix(cf.family).entries[rows, cols]
         assert np.abs(measured_pairs(record) - expected).max() <= 1e-15
+
+
+class TestCombinationResiduals:
+    """Check (b) reads the (K, n, n) stack of block vectors in one product."""
+
+    @pytest.mark.parametrize(
+        "e, big_k",
+        BLOCK_FAMILIES
+        + [
+            pytest.param(
+                random_boundary(seed, 3 + 5 * seed), big_k, id=f"random-{seed}x{big_k}"
+            )
+            for seed, big_k in [(0, 1), (1, 7), (2, 40), (3, 53)]
+        ],
+    )
+    def test_one_residual_per_alpha_as_per_block(self, e, big_k):
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        assert cf.block_vectors.shape == (big_k, e.n, e.n)
+        assert not cf.block_vectors.flags.writeable
+        record = verify_counterexample(cf, spec)
+        residuals = record.combination_residuals
+        assert len(residuals) == spec.K
+        for resid, alpha, v in zip(residuals, spec.alphas, cf.block_vectors):
+            # the same residual, one block at a time
+            assert resid == abs(float(np.sum((v @ cf.c) ** 2)) - (1.0 - alpha))
+            assert resid <= 1e-10
+
+    def test_record_keeps_its_own_copy_of_the_stack(self):
+        spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(4))
+        cf = build_counterexample(spec)
+        given = np.array(cf.block_vectors)
+        record = CounterexampleFamily(cf.family, given, cf.c)
+        given[:] = 0.0
+        assert np.array_equal(record.block_vectors, cf.block_vectors)
+        assert verify_counterexample(record, spec).passed
+
+    def test_sequence_of_blocks_is_stacked(self):
+        spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(4))
+        cf = build_counterexample(spec)
+        record = CounterexampleFamily(cf.family, list(cf.block_vectors), cf.c)
+        assert np.array_equal(record.block_vectors, cf.block_vectors)
+        assert not record.block_vectors.flags.writeable
+
+    @pytest.mark.parametrize("held", [2, 4])
+    def test_block_count_mismatch_fails_with_record(self, held):
+        spec = CounterexampleSpec(EMatrix(2, [[0, 1], [1, 0]]), geometric_alphas(3))
+        cf = build_counterexample(spec)
+        blocks = np.concatenate([cf.block_vectors, cf.block_vectors[-1:]])[:held]
+        altered = CounterexampleFamily(cf.family, blocks, cf.c)
+        mismatch = f"{held} blocks .* 3 alphas"
+        with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
+            verify_counterexample(altered, spec)
+        record = exc_info.value.record
+        assert not record.passed
+        # the residuals of the blocks that both sides have
+        expected = verify_counterexample(cf, spec).combination_residuals
+        assert record.combination_residuals == expected[:held]
