@@ -19,7 +19,6 @@ is printed as one ``notice:`` line.
 import argparse
 import sys
 import warnings
-from dataclasses import asdict
 
 from . import io
 from .counterexamples import (
@@ -107,9 +106,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    family, _ = io.load_family(args.family)
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    family, _ = io.load_family(args.family)
     try:
         convergence = convergence_report(family, args.n_max)
         criterion = convergence.criterion
@@ -147,9 +146,9 @@ def _parse_alphas(schedule: str, blocks: int):
 
 
 def _cmd_counterexample(args) -> int:
-    e = io.load_ematrix(args.ematrix)
     if args.blocks < 1:
         raise ValueError("--blocks must be at least 1")
+    e = io.load_ematrix(args.ematrix)
     spec = CounterexampleSpec(e, _parse_alphas(args.alpha_schedule, args.blocks))
     cf = build_counterexample(spec)
     try:
@@ -163,7 +162,11 @@ def _cmd_counterexample(args) -> int:
         io.save_family(stage(args.out), cf.family)
         if args.verify:
             doc = {
-                "verification": asdict(record),
+                # asdict's document, without its deep copy of every scalar
+                "verification": {
+                    **vars(record),
+                    "pairs": [vars(pair) for pair in record.pairs],
+                },
                 "spectral_radius_input": spec.input_radius,
                 "alphas": list(spec.alphas),
                 "metadata": io.report_metadata(args.ematrix),

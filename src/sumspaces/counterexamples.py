@@ -19,10 +19,10 @@ import numpy as np
 from .criterion import BOUNDARY_BAND, EMatrix, _cosine_matrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
 from .subspaces import (
-    Subspace,
     SubspaceFamily,
     _checked_cosines,
     _frozen_array,
+    _stacked_members,
     sum_operator,
 )
 
@@ -195,7 +195,10 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
     Member i collects the i-th unit vector of every block, one per
     column, each supported on its own n coordinates; the columns are
     therefore orthonormal and each member is a valid K-dimensional
-    subspace of R^(n*K).
+    subspace of R^(n*K).  The n bases are filled into one zero stack by
+    one scatter and checked in one product; each member's basis is a
+    read-only view of that stack (see ``Subspace``), so one member keeps
+    all n bases alive.
     """
     n, big_k = spec.e.n, spec.K
     # c is the last column of the U that the block vectors are built from
@@ -203,12 +206,11 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
     c = _principal_eigenvector(spec.e, w, u)
     blocks = _gram_vectors(spec.e, spec.alphas, w, u)
     d, ks = n * big_k, np.arange(big_k)
-    members = []
-    for i in range(n):
-        basis = np.zeros((d, big_k))
-        # blocks[k, j, i] goes to basis[k*n + j, k], as _diagonal_blocks reads
-        basis.reshape(big_k, n, big_k)[ks, :, ks] = blocks[:, :, i]
-        members.append(Subspace(d, basis))
+    stack = np.zeros((n, d, big_k))
+    # blocks[k, j, i] goes to basis[k*n + j, k] of member i, as
+    # _diagonal_blocks reads; the scatter's value is indexed [k, i, j]
+    stack.reshape(n, big_k, n, big_k)[:, ks, :, ks] = blocks.transpose(0, 2, 1)
+    members = _stacked_members(stack)
     return CounterexampleFamily(SubspaceFamily(d, tuple(members)), blocks, c)
 
 

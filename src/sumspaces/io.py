@@ -4,7 +4,8 @@ Family files carry spanning sets as row vectors; they are orthonormalized
 on load, so hand-written files need not be orthonormal.  The loader
 validates the members one by one, then orthonormalizes them in one batch
 per spanning-set shape (one stacked Gram test and one stacked SVD), so a
-family of 300 lines takes one SVD, not 300.  An input file is read once:
+family of 300 lines takes one SVD, not 300, and the members are views of
+one checked stack per basis shape.  An input file is read once:
 the report's digest is taken from the bytes the loader read.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it

@@ -30,7 +30,15 @@ def _frozen_array(a, dtype=float):
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A k-dimensional subspace of R^d, held as an orthonormal d x k basis."""
+    """A k-dimensional subspace of R^d, held as an orthonormal d x k basis.
+
+    ``Subspace(d, basis)`` keeps a read-only copy of ``basis`` and checks
+    it.  The members the package builds itself (``orthonormalize_all``,
+    the loader, ``build_counterexample``) skip the copy: each basis is a
+    read-only view of one stack per basis shape, checked as a whole by
+    the same test with the same message, so one member keeps its whole
+    stack alive.
+    """
 
     ambient_dim: int
     basis: np.ndarray
@@ -46,17 +54,45 @@ class Subspace:
             )
         if not 1 <= k <= d:
             raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-        gram = basis.T @ basis
-        drift = np.abs(gram - np.eye(k)).max()
-        if not drift <= ORTHONORMALITY_TOL:  # also rejects a NaN drift
-            raise ValueError(
-                f"basis columns are not orthonormal (drift {drift:.3e})"
-            )
+        _check_orthonormal(basis[None])
         object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self):
         return self.basis.shape[1]
+
+
+def _check_orthonormal(stack):
+    """Raise ValueError unless every basis in the (N, d, k) ``stack`` is orthonormal.
+
+    One batched product; the first basis, in order, whose Gram matrix
+    deviates from the identity by more than ORTHONORMALITY_TOL entrywise
+    is named by its drift.
+    """
+    gram = stack.transpose(0, 2, 1) @ stack
+    drift = np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2))
+    bad = np.flatnonzero(~(drift <= ORTHONORMALITY_TOL))  # also rejects a NaN drift
+    if bad.size:
+        raise ValueError(
+            f"basis columns are not orthonormal (drift {drift[bad[0]]:.3e})"
+        )
+
+
+def _stacked_members(stack) -> list:
+    """One Subspace per basis of the fresh (N, d, k) ``stack``, without copies.
+
+    The stack is frozen and checked by ``_check_orthonormal``; each
+    member's basis is a read-only view of it.
+    """
+    stack.setflags(write=False)
+    _check_orthonormal(stack)
+    members = []
+    for basis in stack:
+        member = object.__new__(Subspace)
+        object.__setattr__(member, "ambient_dim", stack.shape[1])
+        object.__setattr__(member, "basis", basis)
+        members.append(member)
+    return members
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +146,10 @@ def orthonormalize_all(raws) -> list:
     is exact.  The spanning sets are batched by shape: each shape takes
     one stacked Gram test and one stacked SVD of the sets that fail it.
     A stacked SVD gives the bits of one SVD per set, so the result does
-    not depend on what else is in the batch.
+    not depend on what else is in the batch.  The bases are then stacked
+    once per output shape and each stack is checked in one product: the
+    returned members are read-only views of these stacks (see
+    ``Subspace``), and each keeps its whole stack alive.
 
     Raises ValueError for a spanning set that is not 2-D or is empty, and
     AllZeroInput for the first set, in order, whose columns are all
@@ -151,7 +190,15 @@ def orthonormalize_all(raws) -> list:
         raise AllZeroInput(
             "all columns of the spanning set are numerically zero", min(zero)
         )
-    return [Subspace(raw.shape[0], basis) for raw, basis in zip(raws, bases)]
+    shapes = {}
+    for i, basis in enumerate(bases):
+        shapes.setdefault(basis.shape, []).append(i)
+    members = [None] * len(bases)
+    for positions in shapes.values():
+        stack = np.stack([bases[i] for i in positions])
+        for i, member in zip(positions, _stacked_members(stack)):
+            members[i] = member
+    return members
 
 
 def restricted_norm(m: Subspace, n: Subspace) -> float:

@@ -27,6 +27,7 @@ from sumspaces import (
     geometric_alphas,
     io,
     spectral_radius,
+    verify_counterexample,
 )
 from sumspaces import cli
 from sumspaces.cli import main
@@ -728,6 +729,21 @@ class TestCounterexampleCommand:
                      "--out", str(out), "--verify", str(verify)])
         return code, out, verify
 
+    def test_verification_record_is_written_as_asdict_gives_it(self, tmp_path):
+        entries = ring_matrix(16).tolist()
+        code, _, verify = self.run_verified(tmp_path, entries, 40)
+        assert code == 0
+        spec = CounterexampleSpec(EMatrix(16, entries), geometric_alphas(40))
+        record = verify_counterexample(build_counterexample(spec), spec)
+        expected = tmp_path / "expected.json"
+        io.write_report(expected, {
+            "verification": dataclasses.asdict(record),
+            "spectral_radius_input": spec.input_radius,
+            "alphas": list(spec.alphas),
+            "metadata": json.loads(verify.read_text())["metadata"],
+        })
+        assert verify.read_text() == expected.read_text()
+
     def test_failed_verification_exits_two_with_both_outputs(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -890,6 +906,27 @@ class TestCommandBoundary:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json", "sixty.json"]
         if argv[0] == "project":
             assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["project", "{missing}", "--n-max", "0"], "--n-max must be at least 1"),
+            (
+                ["counterexample", "{missing}", "--blocks", "0", "--out", "{tmp}/f.json"],
+                "--blocks must be at least 1",
+            ),
+        ],
+        ids=["n-max", "blocks"],
+    )
+    def test_bad_count_is_rejected_before_the_input_is_read(
+        self, tmp_path, capsys, argv, message
+    ):
+        paths = {"missing": tmp_path / "missing.json", "tmp": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stderr_lines(captured) == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra", [["--n-max", "abc"], []], ids=["non-integer", "missing"]

@@ -27,7 +27,7 @@ from sumspaces import (
     sum_operator,
     verify_counterexample,
 )
-from sumspaces import counterexamples
+from sumspaces import counterexamples, io
 
 
 def all_equal_boundary(n):
@@ -569,3 +569,42 @@ class TestCombinationResiduals:
         # the residuals of the blocks that both sides have
         expected = verify_counterexample(cf, spec).combination_residuals
         assert record.combination_residuals == expected[:held]
+
+
+class TestStackedMembers:
+    """Built members are read-only views of one (n, nK, K) stack."""
+
+    FAMILIES = BLOCK_FAMILIES + [
+        pytest.param(random_boundary(1, 8), 7, id="random-1x7"),
+        pytest.param(random_boundary(3, 18), 53, id="random-3x53"),
+    ]
+
+    @pytest.mark.parametrize("e, big_k", FAMILIES)
+    def test_members_are_read_only_views_of_one_stack(self, e, big_k):
+        cf = build_counterexample(CounterexampleSpec(e, geometric_alphas(big_k)))
+        d, ks = e.n * big_k, np.arange(big_k)
+        stack = cf.family.members[0].basis.base
+        assert stack.shape == (e.n, d, big_k)
+        for i, member in enumerate(cf.family.members):
+            assert member.basis.base is stack
+            # the member as it was built one at a time, through the constructor
+            basis = np.zeros((d, big_k))
+            basis.reshape(big_k, e.n, big_k)[ks, :, ks] = cf.block_vectors[:, :, i]
+            assert np.array_equal(member.basis, Subspace(d, basis).basis)
+            with pytest.raises(ValueError, match="read-only"):
+                member.basis[0, 0] = 0.5
+
+    @pytest.mark.parametrize("e, big_k", FAMILIES)
+    def test_copied_members_write_and_verify_the_same(self, e, big_k, tmp_path):
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        cf = build_counterexample(spec)
+        d = cf.family.ambient_dim
+        copied = SubspaceFamily(
+            d, tuple(Subspace(d, m.basis.copy()) for m in cf.family.members)
+        )
+        stacked_path, copied_path = tmp_path / "stacked.json", tmp_path / "copied.json"
+        io.save_family(stacked_path, cf.family)
+        io.save_family(copied_path, copied)
+        assert stacked_path.read_text() == copied_path.read_text()
+        rebuilt = CounterexampleFamily(copied, cf.block_vectors, cf.c)
+        assert verify_counterexample(cf, spec) == verify_counterexample(rebuilt, spec)

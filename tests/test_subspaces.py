@@ -130,6 +130,39 @@ class TestOrthonormalizeAll:
         with pytest.raises(ValueError, match="2-D"):
             orthonormalize_all([np.eye(2), np.ones(2)])
 
+    def test_members_view_one_read_only_stack_per_shape(self):
+        rng = np.random.default_rng(8)
+        # the rank-one (4, 2) set lands among the (4, 1) bases
+        raws = [rng.normal(size=(4, 1)), np.ones((4, 2)), rng.normal(size=(4, 3)),
+                np.eye(4, 1)]
+        subs = orthonormalize_all(raws)
+        assert [s.dim for s in subs] == [1, 1, 3, 1]
+        lines = [subs[0], subs[1], subs[3]]
+        assert all(s.basis.base is lines[0].basis.base for s in lines)
+        assert subs[2].basis.base is not lines[0].basis.base
+        for raw, sub in zip(raws, subs):
+            assert np.array_equal(sub.basis, Subspace(4, per_member_basis(raw)).basis)
+            with pytest.raises(ValueError, match="read-only"):
+                sub.basis[0, 0] = 2.0
+
+    def test_stack_check_gives_the_constructor_message(self, monkeypatch):
+        raw = np.array([[3.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        svd = np.linalg.svd
+
+        def doubled(a, *args, **kwargs):
+            u, s, vt = svd(a, *args, **kwargs)
+            return 2.0 * u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", doubled)
+        with pytest.raises(ValueError) as batched:
+            orthonormalize_all([np.eye(3, 1), raw])
+        bad_basis = doubled(raw, full_matrices=False)[0]
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as single:
+            Subspace(3, bad_basis)
+        assert str(batched.value) == str(single.value)
+        assert str(single.value).startswith("basis columns are not orthonormal")
+
 
 class TestSubspaceValidation:
     def test_non_orthonormal_basis_rejected(self):
