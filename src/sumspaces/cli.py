@@ -57,7 +57,7 @@ def _parser():
     )
     p_analyze.add_argument("family", help="family JSON file")
     p_analyze.add_argument("--report", help="write the JSON report here")
-    p_analyze.set_defaults(run=_cmd_analyze)
+    p_analyze.set_defaults(run=_cmd_criterion, n_max=None, csv=None)
 
     p_project = sub.add_parser(
         "project", help="run the projection iteration with certified bounds"
@@ -66,7 +66,7 @@ def _parser():
     p_project.add_argument("--n-max", type=int, required=True, help="iteration steps")
     p_project.add_argument("--report", help="write the JSON report here")
     p_project.add_argument("--csv", help="write N,error,bound rows here")
-    p_project.set_defaults(run=_cmd_project)
+    p_project.set_defaults(run=_cmd_criterion)
 
     p_counter = sub.add_parser(
         "counterexample", help="build a block family for a boundary matrix"
@@ -90,30 +90,20 @@ def _criterion_exit(report) -> int:
     return EXIT_OK if report.satisfied else EXIT_NOT_SATISFIED
 
 
-def _cmd_analyze(args) -> int:
-    family, _ = io.load_family(args.family)
-    report = evaluate_criterion(build_e_matrix(family))
-    doc = {
-        "criterion": io.criterion_section(report),
-        "metadata": io.report_metadata(args.family),
-    }
-    if args.report is None:
-        io.write_report(None, doc)
-    else:
-        with io.staged_outputs(args.family) as stage:
-            io.write_report(stage(args.report), doc)
-    return _criterion_exit(report)
-
-
-def _cmd_project(args) -> int:
-    if args.n_max < 1:
+def _cmd_criterion(args) -> int:
+    """``project``, and ``analyze``, which runs no iteration (``n_max`` None)."""
+    if args.n_max is not None and args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     family, _ = io.load_family(args.family)
-    try:
-        convergence = convergence_report(family, args.n_max)
-        criterion = convergence.criterion
-    except CriterionNotSatisfied as exc:
-        convergence, criterion = None, exc.report
+    convergence = None
+    if args.n_max is None:
+        criterion = evaluate_criterion(build_e_matrix(family))
+    else:
+        try:
+            convergence = convergence_report(family, args.n_max)
+            criterion = convergence.criterion
+        except CriterionNotSatisfied as exc:
+            criterion = exc.report
 
     doc = {
         "criterion": io.criterion_section(criterion),

@@ -253,9 +253,11 @@ def verify_counterexample(
     if blocks is None:
         s = sum_operator(cf.family)
         measured = _cosine_matrix(cf.family, s.T @ s).entries[rows, cols]
+        svals = np.linalg.svd(s, compute_uv=False)
     else:
         grams = blocks.transpose(0, 2, 1) @ blocks
         measured = _checked_cosines(np.abs(grams[:, rows, cols]).max(axis=0))
+        svals = np.linalg.svd(blocks, compute_uv=False)
     target = alpha_max * e.entries[rows, cols]
     pairs = [
         PairNorm(i=i, j=j, measured=m, target=t)
@@ -287,9 +289,6 @@ def verify_counterexample(
             "is not block diagonal: column k of every member must lie on "
             "coordinates [k*n, (k+1)*n) of R^(n*K)"
         )
-        svals = np.linalg.svd(s, compute_uv=False)
-    else:
-        svals = np.linalg.svd(blocks, compute_uv=False)
     sigma_min = float(svals.min())
     sigma_min_sq = sigma_min ** 2
     limit = 1.0 - alpha_max

@@ -9,11 +9,13 @@ checked.
 
 The cosines are cut from the one Gram matrix G = S'S of the concatenated
 bases S = [B_1 | ... | B_n]: e_ij is the top singular value of the block
-B_i'B_j of G.  Callers that already hold G (the iteration and the
-independence check) pass it in, so G is formed once per family.  The
-counterexample verification forms G only for a family that fails its
-block-support check; otherwise it reads the cosines from the K diagonal
-blocks of S.
+B_i'B_j of G.  The iteration and the independence check cut the cosines
+from the G they form for their own use, so ``build_e_matrix``,
+``convergence_report`` and ``linear_independence_check`` each form S and
+G once per call, and ``analyze`` and ``project`` each make one such
+call.  The counterexample verification forms G only for a family that
+fails its block-support check; otherwise it reads the cosines from the
+K diagonal blocks of S.
 
 Positive definiteness is read from one Cholesky factorization
 I - E = L L', the only one per criterion evaluation.  Its pivots

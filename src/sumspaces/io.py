@@ -5,8 +5,9 @@ on load, so hand-written files need not be orthonormal.  The loader
 validates the members one by one, then orthonormalizes them in one batch
 per spanning-set shape (one stacked Gram test and one stacked SVD), so a
 family of 300 lines takes one SVD, not 300, and the members are views of
-one checked stack per basis shape.  An input file is read once:
-the report's digest is taken from the bytes the loader read.  Floats are
+one checked stack per basis shape.  An input file is read once: the
+report's digest is the one the loader took of the bytes it read, and
+``report_metadata`` reads nothing.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it
 reproduces identical numbers.  Every JSON output goes through one writer
@@ -42,8 +43,8 @@ from .subspaces import SubspaceFamily, orthonormalize_all
 # JSON containers; a container holding none of these is written on one line.
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
-# The regular file a loader read last, as (_file_identity, SHA-256 of the
-# bytes read); report_metadata takes the digest from here.
+# The path a loader read last and the SHA-256 of the bytes read (None when
+# it was not a regular file); report_metadata takes the digest from here.
 _last_read = (None, None)
 
 
@@ -172,28 +173,20 @@ def convergence_section(report: ConvergenceReport) -> dict:
 
 
 def report_metadata(input_path) -> dict:
-    """Report metadata; ``input_sha256`` is the digest of the input file.
+    """Report metadata; ``input_sha256`` is the digest of the loaded input.
 
-    When the input is the regular file a loader read last, unchanged
-    since (see ``_file_identity``), the digest is the one ``_read_object``
-    took of the bytes it read, so the file is read once per command.  Any
-    other regular file is read and hashed here.  The digest is None when
-    the input is not a regular file after following links (a pipe,
-    ``/dev/stdin``): the loader has consumed such an input, and reading
-    it again would hash nothing.
+    When ``input_path`` is the path a loader read last, the digest is the
+    one ``_read_object`` took of the bytes it read: nothing is opened or
+    read here, so a command reads its input once, and a file changed
+    since loading keeps the digest of the bytes that were loaded.  The
+    digest is None for any other path, and when the loaded input was not
+    a regular file after following links (a pipe, ``/dev/stdin``): the
+    loader consumed such an input, and the bytes it read are not a file's
+    contents.
     """
-    try:
-        st = os.stat(input_path)
-    except (OSError, ValueError):
-        st = None
-    digest = None
-    if st is not None and stat.S_ISREG(st.st_mode):
-        identity, digest = _last_read
-        if identity != _file_identity(st):
-            with open(input_path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+    path, digest = _last_read
     return {
-        "input_sha256": digest,
+        "input_sha256": digest if os.fspath(input_path) == path else None,
         "tool_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
     }
@@ -263,16 +256,17 @@ def _read_object(path, kind):
     Returns the object and whether the text holds ``true`` or ``false``
     anywhere, strings included: a file without either holds no boolean,
     which spares ``_number_array`` a scan of every entry.  The file is
-    read once, as bytes; when it is a regular file, their SHA-256 is kept
-    for ``report_metadata``.  The bytes are decoded as ``open(path)``
-    would decode them, and freed before parsing.
+    read once, as bytes; the path is kept for ``report_metadata`` with
+    their SHA-256 when it is a regular file, and with None otherwise.  The
+    bytes are decoded as ``open(path)`` would decode them, and freed
+    before parsing.
     """
     global _last_read
     with open(path, "rb") as fh:
         data = fh.read()
-        st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode):
-        _last_read = (_file_identity(st), hashlib.sha256(data).hexdigest())
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    digest = hashlib.sha256(data).hexdigest() if regular else None
+    _last_read = (os.fspath(path), digest)
     text = TextIOWrapper(BytesIO(data)).read()
     del data
     try:
@@ -282,11 +276,6 @@ def _read_object(path, kind):
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
     return doc, _holds_boolean_literal(text)
-
-
-def _file_identity(st):
-    """The ``stat`` fields that change when a file is replaced or rewritten."""
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _holds_boolean_literal(text):

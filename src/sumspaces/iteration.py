@@ -29,7 +29,7 @@ such a-priori bound, and its roundoff grows with N.  Both chains are test
 oracles in tests/oracles.py: the d x d chain of I - A, built from the
 members' projections, and the K x K chain of I - G.
 
-S and G are formed once per family: the criterion's cosine matrix is cut
+S and G are formed once per call: the criterion's cosine matrix is cut
 from the same G whose eigenvalues give the series, and the independence
 check reads sigma_min and the cosines from one S.  That check keeps its
 SVD of S: it must tell a sigma_min of about 1e-12 from zero, which

@@ -402,15 +402,6 @@ class TestAnalyzeCommand:
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert doc["metadata"]["input_sha256"] == expected
 
-    def test_digest_follows_a_file_changed_since_loading(self, tmp_path):
-        path = orthogonal_lines_file(tmp_path)
-        other = sixty_degree_file(tmp_path)
-        io.load_family(path)
-        path.write_text(path.read_text() + "\n")
-        for p in (path, other):
-            expected = hashlib.sha256(p.read_bytes()).hexdigest()
-            assert io.report_metadata(p)["input_sha256"] == expected
-
     def test_duplicate_subspace_boundary_exit(self, tmp_path):
         path = write_family_file(
             tmp_path / "dup.json", {"X1": [[1.0, 0.0]], "X2": [[1.0, 0.0]]}, 2
@@ -476,6 +467,59 @@ class TestAnalyzeCommand:
         d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
         assert d1["criterion"] == d2["criterion"]
         assert d1["metadata"]["input_sha256"] == d2["metadata"]["input_sha256"]
+
+
+class TestInputDigest:
+    def test_digest_is_of_the_bytes_loaded_last(self, tmp_path, monkeypatch):
+        path = orthogonal_lines_file(tmp_path)
+        other = sixty_degree_file(tmp_path)
+        loaded = hashlib.sha256(path.read_bytes()).hexdigest()
+        io.load_family(path)
+        path.write_text(path.read_text() + "\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("report_metadata must not touch the file system")
+
+        with monkeypatch.context() as m:
+            m.setattr(io, "open", refuse, raising=False)
+            m.setattr(os, "stat", refuse)
+            assert io.report_metadata(path)["input_sha256"] == loaded
+            assert io.report_metadata(str(path))["input_sha256"] == loaded
+            assert io.report_metadata(other)["input_sha256"] is None
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [
+            ("analyze", "evaluate_criterion"),
+            ("project", "convergence_report"),
+            ("counterexample", "build_counterexample"),
+        ],
+    )
+    def test_input_rewritten_mid_command_keeps_the_loaded_digest(
+        self, tmp_path, capsys, monkeypatch, command, stage
+    ):
+        report = tmp_path / "report.json"
+        if command == "counterexample":
+            path = tmp_path / "e.json"
+            path.write_text('{"n": 2, "entries": [[0.0, 1.0], [1.0, 0.0]]}')
+            argv = [command, str(path), "--blocks", "3",
+                    "--out", str(tmp_path / "f.json"), "--verify", str(report)]
+        else:
+            path = sixty_degree_file(tmp_path)
+            argv = [command, str(path), "--report", str(report)]
+            if command == "project":
+                argv += ["--n-max", "3"]
+        loaded = hashlib.sha256(path.read_bytes()).hexdigest()
+        original = getattr(cli, stage)
+
+        def rewrite_then_run(*args):
+            path.write_text(path.read_text() + "\n")
+            return original(*args)
+
+        monkeypatch.setattr(cli, stage, rewrite_then_run)
+        assert main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != loaded
+        assert json.loads(report.read_text())["metadata"]["input_sha256"] == loaded
 
 
 class TestProjectCommand:
@@ -573,6 +617,76 @@ class TestProjectCommand:
         assert captured.out == ""
         assert captured.err == "error: deviation is not symmetric\n"
         assert not report.exists()
+
+
+def _criterion_family(tmp_path, kind):
+    """A family file, or a ``/dev/fd`` path to a pipe holding one."""
+    if kind == "satisfied":
+        return str(sixty_degree_file(tmp_path))
+    if kind == "failing":
+        vectors = {"X1": [[1.0, 0.0]], "X2": [[1.0, 0.02]], "X3": [[1.0, -0.02]]}
+    elif kind == "boundary":
+        vectors = {"X1": [[1.0, 0.0]], "X2": [[1.0, 0.0]]}
+    elif kind == "rank-deficient":
+        vectors = {"X1": [[1.0, 0.0], [2.0, 0.0]], "X2": [[0.0, 1.0]]}
+    else:
+        text = sixty_degree_file(tmp_path).read_bytes()
+        r, w = os.pipe()
+        os.write(w, text)
+        os.close(w)
+        return f"/dev/fd/{r}"
+    return str(write_family_file(tmp_path / f"{kind}.json", vectors, 2))
+
+
+class TestCriterionCommands:
+    """``analyze`` is ``project`` without the iteration."""
+
+    @pytest.mark.parametrize(
+        "kind, code, notices",
+        [
+            ("satisfied", 0, 0),
+            ("failing", 2, 0),
+            ("boundary", 3, 0),
+            ("rank-deficient", 0, 1),
+            ("piped", 0, 0),
+        ],
+    )
+    def test_analyze_reports_what_project_reports(
+        self, tmp_path, capsys, kind, code, notices
+    ):
+        runs = []
+        for argv in (["analyze"], ["project", "--n-max", "3"]):
+            path = _criterion_family(tmp_path, kind)
+            try:
+                status = main([*argv, path])
+            finally:
+                if path.startswith("/dev/fd/"):
+                    os.close(int(path[len("/dev/fd/"):]))
+            captured = capsys.readouterr()
+            doc = json.loads(captured.out)
+            del doc["metadata"]["created"]
+            runs.append((status, captured.err, doc["criterion"], doc["metadata"]))
+        analyze, project = runs
+        assert analyze == project
+        status, err, _, metadata = analyze
+        assert status == code
+        lines = err.splitlines()
+        assert len(lines) == notices
+        assert all(line.startswith("notice: ") for line in lines)
+        assert (metadata["input_sha256"] is None) == (kind == "piped")
+
+    @pytest.mark.parametrize(
+        "extra", [["--n-max", "3"], ["--csv", "{tmp}/x.csv"]], ids=["n-max", "csv"]
+    )
+    def test_analyze_takes_no_project_option(self, tmp_path, capsys, extra):
+        path = sixty_degree_file(tmp_path)
+        argv = ["analyze", str(path), *(arg.format(tmp=tmp_path) for arg in extra)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = stderr_lines(captured)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["sixty.json"]
 
 
 class TestCounterexampleCommand:
