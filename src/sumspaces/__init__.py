@@ -51,7 +51,6 @@ from .iteration import (
     linear_independence_check,
 )
 from .counterexamples import (
-    CounterexampleFamily,
     CounterexampleSpec,
     CounterexampleVerification,
     build_counterexample,
@@ -92,7 +91,6 @@ __all__ = [
     "ConvergenceStep",
     "convergence_report",
     "linear_independence_check",
-    "CounterexampleFamily",
     "CounterexampleSpec",
     "CounterexampleVerification",
     "build_counterexample",

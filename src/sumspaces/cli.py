@@ -140,16 +140,16 @@ def _cmd_counterexample(args) -> int:
         raise ValueError("--blocks must be at least 1")
     e = io.load_ematrix(args.ematrix)
     spec = CounterexampleSpec(e, _parse_alphas(args.alpha_schedule, args.blocks))
-    cf = build_counterexample(spec)
+    family = build_counterexample(spec)
     try:
-        record = verify_counterexample(cf, spec)
+        record = verify_counterexample(family, spec)
         status = EXIT_OK
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         record = exc.record
         status = EXIT_NOT_SATISFIED
     with io.staged_outputs(args.ematrix) as stage:
-        io.save_family(stage(args.out), cf.family)
+        io.save_family(stage(args.out), family)
         if args.verify:
             doc = {
                 # asdict's document, without its deep copy of every scalar

@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import BOUNDARY_BAND, EMatrix, _cosine_matrix, spectral_radius
+from .criterion import BOUNDARY_BAND, EMatrix, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
-from .subspaces import (
-    SubspaceFamily,
-    _checked_cosines,
-    _frozen_array,
-    _stacked_members,
-    sum_operator,
-)
+from .subspaces import SubspaceFamily, _checked_cosines, _stacked_members
 
 # Entrywise tolerance on the per-block Gram factorization residual.
 GRAM_TOL = 1e-10
@@ -76,26 +70,6 @@ class CounterexampleSpec:
         return len(self.alphas)
 
 
-@dataclass(frozen=True, eq=False)
-class CounterexampleFamily:
-    """Constructed family with its per-block unit vectors and eigenvector.
-
-    ``family`` has n members of dimension K in R^(n*K); block k occupies
-    coordinates [k*n, (k+1)*n).  ``block_vectors`` is a read-only copy of
-    the (K, n, n) stack given, block k holding as column i the block-k
-    unit vector of member i; check (b) needs one block per alpha.  ``c``
-    is the unit eigenvector with E c = c used by the degeneration witness.
-    """
-
-    family: SubspaceFamily
-    block_vectors: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_vectors", _frozen_array(self.block_vectors))
-        object.__setattr__(self, "c", _frozen_array(self.c))
-
-
 @dataclass(frozen=True)
 class PairNorm:
     i: int
@@ -110,22 +84,22 @@ class CounterexampleVerification:
 
     ``pairs`` compares each measured pairwise cosine with its target
     alpha_K * e_ij.  ``combination_residuals[k]`` is the deviation of the
-    squared norm of the c-weighted combination of block-k vectors from
-    1 - alpha_k.  ``sigma_min_sq`` at most ``degeneration_limit``
-    (= 1 - alpha_K, up to tolerance) exhibits the degenerating frame
-    bound, while ``sigma_min`` > 0 confirms the truncation itself is
-    linearly independent.  ``sigma_min`` is the least singular value of
-    the sum operator S.  When S has the block support of the fifth check,
-    the cosines and the singular values are both read from its K
-    diagonal n x n blocks; otherwise from S and its Gram matrix.  That
-    check has no field of its own and shows only as ``passed`` and the
-    failure message.
+    squared norm of the c-weighted combination of the family's block-k
+    vectors from 1 - alpha_k.  ``sigma_min_sq`` at most
+    ``degeneration_limit`` (= 1 - alpha_K, up to tolerance) exhibits the
+    degenerating frame bound, while ``sigma_min`` > 0 confirms the
+    truncation itself is linearly independent.  ``sigma_min`` is the
+    least singular value of the sum operator S.  All are read from the K
+    diagonal n x n blocks of S, so a family without the block layout of
+    the fifth check is not measured: its record has no pairs, no
+    residuals and None for both singular values.  That check has no field
+    of its own and shows only as ``passed`` and the failure message.
     """
 
     pairs: tuple
     combination_residuals: tuple
-    sigma_min: float
-    sigma_min_sq: float
+    sigma_min: float | None
+    sigma_min_sq: float | None
     degeneration_limit: float
     linearly_independent: bool
     passed: bool
@@ -137,11 +111,7 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     Sign convention: the first coordinate of magnitude above 1e-12 is
     positive.
     """
-    return _principal_eigenvector(e, *np.linalg.eigh(e.entries))
-
-
-def _principal_eigenvector(e, w, u):
-    """``principal_eigenvector(e)`` from the eigendecomposition E = U diag(w) U'."""
+    w, u = np.linalg.eigh(e.entries)
     r = float(w[-1])
     if abs(r - 1.0) > BOUNDARY_BAND:
         raise NotBoundary(f"spectral radius {r:.12g} is not 1 within tolerance")
@@ -167,14 +137,10 @@ def gram_vectors(e: EMatrix, alpha) -> np.ndarray:
     Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  A sequence
     of K alphas gives the (K, n, n) stack, all from one eigh(E).
     """
-    return _gram_vectors(e, alpha, *np.linalg.eigh(e.entries))
-
-
-def _gram_vectors(e, alpha, w, u):
-    """``gram_vectors(e, alpha)`` from the eigendecomposition E = U diag(w) U'."""
     alphas = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    w, u = np.linalg.eigh(e.entries)
     lam = 1.0 - alphas[..., None] * w
     if lam.min() <= 0.0:
         raise NotPositiveDefinite(
@@ -189,7 +155,7 @@ def _gram_vectors(e, alpha, w, u):
     return v
 
 
-def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
+def build_counterexample(spec: CounterexampleSpec) -> SubspaceFamily:
     """Assemble the K-block family for the given boundary matrix.
 
     Member i collects the i-th unit vector of every block, one per
@@ -201,63 +167,65 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFamily:
     all n bases alive.
     """
     n, big_k = spec.e.n, spec.K
-    # c is the last column of the U that the block vectors are built from
-    w, u = np.linalg.eigh(spec.e.entries)
-    c = _principal_eigenvector(spec.e, w, u)
-    blocks = _gram_vectors(spec.e, spec.alphas, w, u)
+    blocks = gram_vectors(spec.e, spec.alphas)
     d, ks = n * big_k, np.arange(big_k)
     stack = np.zeros((n, d, big_k))
     # blocks[k, j, i] goes to basis[k*n + j, k] of member i, as
     # _diagonal_blocks reads; the scatter's value is indexed [k, i, j]
     stack.reshape(n, big_k, n, big_k)[:, ks, :, ks] = blocks.transpose(0, 2, 1)
-    members = _stacked_members(stack)
-    return CounterexampleFamily(SubspaceFamily(d, tuple(members)), blocks, c)
+    return SubspaceFamily(d, tuple(_stacked_members(stack)))
 
 
 def verify_counterexample(
-    cf: CounterexampleFamily, spec: CounterexampleSpec
+    family: SubspaceFamily, spec: CounterexampleSpec
 ) -> CounterexampleVerification:
-    """Check a constructed family against its defining identities.
+    """Check a family against the identities its spec defines.
 
-    Verifies (a) the family has one member per row of the spec's matrix and
-    measured pairwise cosines equal alpha_K * e_ij (compared over the
-    members both have), (b) there is one block per alpha and the squared
-    norm of the c-weighted combination in block k is 1 - alpha_k (compared
-    over the blocks both have), (c) the squared least singular value of the
-    concatenated-basis operator S is at most 1 - alpha_K, (d) it is still
-    positive, and (e) S is block diagonal: the family has n members of
-    dimension K in R^(n*K) (n and K taken from the family) and column k of
-    every member lies on coordinates [k*n, (k+1)*n).  Check (b) reads the
-    (K, n, n) stack ``cf.block_vectors`` and ``cf.c``; the others are
-    measured from ``cf.family``.  When (e) holds, every cross-Gram block
-    B_i'B_j is diagonal with entries (V_k'V_k)_ij, V_k the k-th diagonal
-    n x n block of S, so the cosines are max_k |(V_k'V_k)_ij| from one
-    batched product and the singular values come from one batched SVD of the
-    blocks: neither S nor its nK x nK Gram matrix is formed.  Only when (e)
-    fails are the cosines cut from S'S and the singular values taken from an
-    SVD of the whole of S, so ``sigma_min`` is always the least singular
-    value of S.  Raises VerificationFailed naming the first violated check,
-    taking (e) before (c) and (d); the exception carries the full record.
+    Verifies (e) S is block diagonal: the family has n members of
+    dimension K in R^(n*K) (n and K taken from the family) and column k
+    of every member lies on coordinates [k*n, (k+1)*n); (a) the family
+    has one member per row of the spec's matrix and measured pairwise
+    cosines equal alpha_K * e_ij (compared over the members both have);
+    (b) there is one block per alpha and, when the member counts match,
+    the squared norm of V_k c is 1 - alpha_k (compared over the blocks
+    both have), c = ``principal_eigenvector(spec.e)``; (c) the squared
+    least singular value of the concatenated-basis operator S is at most
+    1 - alpha_K; and (d) it is still positive.  V_k is the k-th diagonal
+    n x n block of S, cut from the member bases.  Every cross-Gram block
+    B_i'B_j is diagonal with entries (V_k'V_k)_ij, so the cosines are
+    max_k |(V_k'V_k)_ij| from one batched product and the singular
+    values come from one batched SVD of the blocks: neither S nor its
+    nK x nK Gram matrix is formed.  A family that fails (e) is not
+    measured (see ``CounterexampleVerification``).  Raises
+    VerificationFailed naming the first violated check, in the order
+    (e), (a), (b), (c), (d); the exception carries the full record.
     """
     e = spec.e
     n = e.n
     alpha_max = spec.alphas[-1]
+    limit = 1.0 - alpha_max
+
+    blocks = _diagonal_blocks(family)
+    if blocks is None:
+        record = CounterexampleVerification(
+            pairs=(), combination_residuals=(), sigma_min=None, sigma_min_sq=None,
+            degeneration_limit=limit, linearly_independent=False, passed=False,
+        )
+        raise VerificationFailed(
+            f"sum operator of {family.n} members in R^{family.ambient_dim} "
+            "is not block diagonal: column k of every member must lie on "
+            "coordinates [k*n, (k+1)*n) of R^(n*K)",
+            record=record,
+        )
 
     failures = []
-    if cf.family.n != n:
+    if family.n != n:
         failures.append(
-            f"family has {cf.family.n} members but the spec's matrix has {n} rows"
+            f"family has {family.n} members but the spec's matrix has {n} rows"
         )
-    rows, cols = np.triu_indices(min(n, cf.family.n), 1)
-    blocks = _diagonal_blocks(cf.family)
-    if blocks is None:
-        s = sum_operator(cf.family)
-        measured = _cosine_matrix(cf.family, s.T @ s).entries[rows, cols]
-        svals = np.linalg.svd(s, compute_uv=False)
-    else:
-        grams = blocks.transpose(0, 2, 1) @ blocks
-        measured = _checked_cosines(np.abs(grams[:, rows, cols]).max(axis=0))
-        svals = np.linalg.svd(blocks, compute_uv=False)
+    rows, cols = np.triu_indices(min(n, family.n), 1)
+    grams = blocks.transpose(0, 2, 1) @ blocks
+    measured = _checked_cosines(np.abs(grams[:, rows, cols]).max(axis=0))
     target = alpha_max * e.entries[rows, cols]
     pairs = [
         PairNorm(i=i, j=j, measured=m, target=t)
@@ -271,27 +239,23 @@ def verify_counterexample(
         if abs(p.measured - p.target) > 1e-9
     ]
 
-    big_k = len(cf.block_vectors)
+    big_k = len(blocks)
     if big_k != spec.K:
         failures.append(f"family has {big_k} blocks but the spec has {spec.K} alphas")
-    alphas = spec.alphas[:big_k]
-    norms_sq = np.sum((cf.block_vectors[:len(alphas)] @ cf.c) ** 2, axis=-1)
-    combo_residuals = np.abs(norms_sq - (1.0 - np.array(alphas))).tolist()
-    failures += [
-        f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
-        for k, (alpha, resid) in enumerate(zip(alphas, combo_residuals))
-        if resid > 1e-10
-    ]
+    combo_residuals = []
+    if family.n == n:
+        alphas = spec.alphas[:big_k]
+        c = principal_eigenvector(e)
+        norms_sq = np.sum((blocks[:len(alphas)] @ c) ** 2, axis=-1)
+        combo_residuals = np.abs(norms_sq - (1.0 - np.array(alphas))).tolist()
+        failures += [
+            f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
+            for k, (alpha, resid) in enumerate(zip(alphas, combo_residuals))
+            if resid > 1e-10
+        ]
 
-    if blocks is None:
-        failures.append(
-            f"sum operator of {cf.family.n} members in R^{cf.family.ambient_dim} "
-            "is not block diagonal: column k of every member must lie on "
-            "coordinates [k*n, (k+1)*n) of R^(n*K)"
-        )
-    sigma_min = float(svals.min())
+    sigma_min = float(np.linalg.svd(blocks, compute_uv=False).min())
     sigma_min_sq = sigma_min ** 2
-    limit = 1.0 - alpha_max
     if sigma_min_sq > limit + 1e-9:
         failures.append(
             f"sigma_min^2 = {sigma_min_sq} exceeds the degeneration limit {limit}"

@@ -13,9 +13,9 @@ B_i'B_j of G.  The iteration and the independence check cut the cosines
 from the G they form for their own use, so ``build_e_matrix``,
 ``convergence_report`` and ``linear_independence_check`` each form S and
 G once per call, and ``analyze`` and ``project`` each make one such
-call.  The counterexample verification forms G only for a family that
-fails its block-support check; otherwise it reads the cosines from the
-K diagonal blocks of S.
+call.  The counterexample verification forms neither S nor G: it reads
+the cosines from the K diagonal blocks of S, and a family without that
+block support fails it unmeasured.
 
 Positive definiteness is read from one Cholesky factorization
 I - E = L L', the only one per criterion evaluation.  Its pivots

@@ -17,7 +17,9 @@ from sumspaces import (
     build_counterexample,
     convergence_report,
     geometric_alphas,
+    gram_vectors,
     leading_minors,
+    principal_eigenvector,
     restricted_norm,
     spectral_radius,
     sum_operator,
@@ -107,13 +109,13 @@ def test_criterion_6_counterexample_fidelity():
     for n in (2, 3, 4):
         e = EMatrix(n, (np.ones((n, n)) - np.eye(n)) / (n - 1))
         spec = CounterexampleSpec(e, geometric_alphas(20))
-        cf = build_counterexample(spec)
-        record = verify_counterexample(cf, spec)
+        record = verify_counterexample(build_counterexample(spec), spec)
 
-        for alpha, v in zip(spec.alphas, cf.block_vectors):
+        c = principal_eigenvector(spec.e)
+        for alpha, v in zip(spec.alphas, gram_vectors(spec.e, spec.alphas)):
             gram_target = np.eye(n) - alpha * e.entries
             assert np.abs(v.T @ v - gram_target).max() <= 1e-10
-            combo = v @ cf.c
+            combo = v @ c
             assert abs(float(combo @ combo) - (1.0 - alpha)) <= 1e-10
 
         alpha_max = 1.0 - 2.0**-20
@@ -130,10 +132,8 @@ def test_criterion_7_degeneration_trend():
     previous = np.inf
     for big_k in (5, 10, 15, 20):
         spec = CounterexampleSpec(e, geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        sigma_min_sq = (
-            np.linalg.svd(sum_operator(cf.family), compute_uv=False)[-1] ** 2
-        )
+        family = build_counterexample(spec)
+        sigma_min_sq = np.linalg.svd(sum_operator(family), compute_uv=False)[-1] ** 2
         assert sigma_min_sq <= (1.0 - spec.alphas[-1]) + 1e-9
         assert sigma_min_sq < previous
         previous = sigma_min_sq

@@ -329,7 +329,7 @@ class TestArrayWriter:
 
     def test_ring_family_rows_match_the_encoder(self):
         spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
-        for member in build_counterexample(spec).family.members:
+        for member in build_counterexample(spec).members:
             a = member.basis.T
             assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
 
@@ -349,7 +349,7 @@ class TestArrayWriter:
         # 16 members of dimension 40 in R^640: 409,600 entries, which as
         # Python floats and lists took 13.2 MB at peak
         spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
-        family = build_counterexample(spec).family
+        family = build_counterexample(spec)
         tracemalloc.start()
         try:
             io.save_family(tmp_path / "ring.json", family)
@@ -863,8 +863,8 @@ class TestCounterexampleCommand:
     ):
         verify_counterexample = cli.verify_counterexample
 
-        def failing(cf, spec):
-            record = dataclasses.replace(verify_counterexample(cf, spec), passed=False)
+        def failing(family, spec):
+            record = dataclasses.replace(verify_counterexample(family, spec), passed=False)
             raise VerificationFailed("block 0: forced", record=record)
 
         monkeypatch.setattr(cli, "verify_counterexample", failing)

@@ -60,5 +60,5 @@ def test_convergence_report(example):
 def test_counterexample_degeneration(example):
     source, ns = example
     assert "# == 2**-20 to 1e-13 relative" in source
-    sigma_min_sq = ns["ss"].verify_counterexample(ns["cf"], ns["spec"]).sigma_min_sq
+    sigma_min_sq = ns["ss"].verify_counterexample(ns["witness"], ns["spec"]).sigma_min_sq
     assert sigma_min_sq == pytest.approx(2.0**-20, rel=1e-13, abs=0.0)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from sumspaces import (
     Subspace,
     SubspaceFamily,
     VerificationFailed,
-    CounterexampleFamily,
     build_counterexample,
     build_e_matrix,
     geometric_alphas,
@@ -262,29 +262,29 @@ class TestGeometricAlphas:
 class TestBuildCounterexample:
     def test_single_block_two_lines(self):
         spec = CounterexampleSpec(all_equal_boundary(2), (0.5,))
-        cf = build_counterexample(spec)
-        assert cf.family.ambient_dim == 2
-        assert cf.family.n == 2
-        v = restricted_norm(cf.family.members[0], cf.family.members[1])
+        family = build_counterexample(spec)
+        assert family.ambient_dim == 2
+        assert family.n == 2
+        v = restricted_norm(family.members[0], family.members[1])
         assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_three_blocks_realize_max_alpha(self):
         spec = CounterexampleSpec(all_equal_boundary(2), (0.5, 0.75, 0.875))
-        cf = build_counterexample(spec)
-        v = restricted_norm(cf.family.members[0], cf.family.members[1])
+        family = build_counterexample(spec)
+        v = restricted_norm(family.members[0], family.members[1])
         assert v == pytest.approx(0.875, abs=1e-12)
 
     def test_block_structure_and_gram_fidelity(self):
         e = all_equal_boundary(3)
         spec = CounterexampleSpec(e, geometric_alphas(10))
-        cf = build_counterexample(spec)
-        assert cf.family.ambient_dim == 30
-        assert all(m.dim == 10 for m in cf.family.members)
-        for alpha, v in zip(spec.alphas, cf.block_vectors):
+        family = build_counterexample(spec)
+        assert family.ambient_dim == 30
+        assert all(m.dim == 10 for m in family.members)
+        for alpha, v in zip(spec.alphas, gram_vectors(spec.e, spec.alphas)):
             g = np.eye(3) - alpha * e.entries
             assert np.abs(v.T @ v - g).max() <= 1e-10
         # member i, column k is supported on block k only
-        basis = cf.family.members[1].basis
+        basis = family.members[1].basis
         for k in range(10):
             col = basis[:, k]
             assert np.all(col[: 3 * k] == 0.0)
@@ -293,11 +293,10 @@ class TestBuildCounterexample:
     def test_members_hold_the_block_columns(self):
         n, big_k = 5, 7
         spec = CounterexampleSpec(random_boundary(3, n), geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        assert np.array_equal(cf.block_vectors, gram_vectors(spec.e, spec.alphas))
-        for i, member in enumerate(cf.family.members):
+        family = build_counterexample(spec)
+        for i, member in enumerate(family.members):
             expected = np.zeros((n * big_k, big_k))
-            for k, v in enumerate(cf.block_vectors):
+            for k, v in enumerate(gram_vectors(spec.e, spec.alphas)):
                 expected[k * n:(k + 1) * n, k] = v[:, i]
             assert np.array_equal(member.basis, expected)
 
@@ -312,18 +311,18 @@ class TestBuildCounterexample:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        cf = build_counterexample(spec)
-        # c and the Gram factors share one eigh(E)
+        family = build_counterexample(spec)
+        # the Gram factors of all K blocks share one eigh(E)
         assert shapes == [(n, n)]
         monkeypatch.undo()
-        assert np.array_equal(cf.c, principal_eigenvector(spec.e))
-        assert np.array_equal(cf.block_vectors, gram_vectors(spec.e, spec.alphas))
+        blocks = counterexamples._diagonal_blocks(family)
+        assert np.array_equal(blocks, gram_vectors(spec.e, spec.alphas))
 
     def test_measured_e_matrix_is_scaled_input(self):
         e = all_equal_boundary(4)
         spec = CounterexampleSpec(e, geometric_alphas(6))
-        cf = build_counterexample(spec)
-        measured = build_e_matrix(cf.family)
+        family = build_counterexample(spec)
+        measured = build_e_matrix(family)
         np.testing.assert_allclose(
             measured.entries, spec.alphas[-1] * e.entries, atol=1e-9
         )
@@ -332,17 +331,17 @@ class TestBuildCounterexample:
 class TestVerifyCounterexample:
     def test_single_block_combination_norm(self):
         spec = CounterexampleSpec(all_equal_boundary(2), (0.5,))
-        cf = build_counterexample(spec)
-        rec = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        rec = verify_counterexample(family, spec)
         assert rec.passed
         # || (v1 + v2)/sqrt(2) ||^2 = 1 - alpha = 0.5
-        combo = cf.block_vectors[0] @ cf.c
+        combo = gram_vectors(spec.e, spec.alphas)[0] @ principal_eigenvector(spec.e)
         assert float(combo @ combo) == pytest.approx(0.5, abs=1e-10)
 
     def test_twenty_blocks_degeneration(self):
         spec = CounterexampleSpec(all_equal_boundary(2), geometric_alphas(20))
-        cf = build_counterexample(spec)
-        rec = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        rec = verify_counterexample(family, spec)
         assert rec.passed
         assert rec.sigma_min > 0.0
         assert rec.sigma_min_sq <= 2.0**-20 + 1e-9
@@ -353,8 +352,8 @@ class TestVerifyCounterexample:
         e = hollow_symmetric(rng, 3)
         scaled = EMatrix(3, e.entries / spectral_radius(e))
         spec = CounterexampleSpec(scaled, (0.6,))
-        cf = build_counterexample(spec)
-        rec = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        rec = verify_counterexample(family, spec)
         assert rec.passed
         for pair in rec.pairs:
             expected = 0.6 * scaled.entries[pair.i, pair.j]
@@ -362,31 +361,44 @@ class TestVerifyCounterexample:
 
     def test_mismatched_spec_fails_with_record(self):
         e = all_equal_boundary(2)
-        cf = build_counterexample(CounterexampleSpec(e, (0.5,)))
+        family = build_counterexample(CounterexampleSpec(e, (0.5,)))
         with pytest.raises(VerificationFailed) as exc_info:
-            verify_counterexample(cf, CounterexampleSpec(e, (0.6,)))
+            verify_counterexample(family, CounterexampleSpec(e, (0.6,)))
         record = exc_info.value.record
         assert record is not None
         assert not record.passed
 
     @pytest.mark.parametrize("built, checked", [(2, 3), (3, 2)])
     def test_member_count_mismatch_fails_with_record(self, built, checked):
-        cf = build_counterexample(CounterexampleSpec(all_equal_boundary(built), (0.5,)))
+        family = build_counterexample(CounterexampleSpec(all_equal_boundary(built), (0.5,)))
         spec = CounterexampleSpec(all_equal_boundary(checked), (0.5,))
         mismatch = f"{built} members .* {checked} rows"
         with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
-            verify_counterexample(cf, spec)
+            verify_counterexample(family, spec)
         record = exc_info.value.record
         assert not record.passed
         assert len(record.pairs) == 1  # the one pair both sizes have
+        assert record.combination_residuals == ()  # (b) needs one c_i per member
+
+    def test_spliced_family_fails_the_combination_check(self):
+        # the pairs use alpha_K alone, so only (b) sees the middle block
+        e = all_equal_boundary(2)
+        family = build_counterexample(CounterexampleSpec(e, (0.5, 0.6, 0.875)))
+        spec = CounterexampleSpec(e, (0.5, 0.75, 0.875))
+        with pytest.raises(VerificationFailed, match="^block 1: ") as exc_info:
+            verify_counterexample(family, spec)
+        record = exc_info.value.record
+        assert not record.passed
+        assert all(abs(p.measured - p.target) <= 1e-9 for p in record.pairs)
+        assert [r > 1e-10 for r in record.combination_residuals] == [False, True, False]
 
     def test_zero_singular_value_fails_independence(self, monkeypatch):
         spec = CounterexampleSpec(all_equal_boundary(2), geometric_alphas(3))
-        cf = build_counterexample(spec)
+        family = build_counterexample(spec)
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: 0.0 * svd(a, **kw))
         with pytest.raises(VerificationFailed, match="sigma_min is not positive") as exc_info:
-            verify_counterexample(cf, spec)
+            verify_counterexample(family, spec)
         record = exc_info.value.record
         assert record.sigma_min == 0.0
         assert not record.linearly_independent and not record.passed
@@ -396,33 +408,33 @@ class TestVerifyCounterexample:
         values = []
         for big_k in (5, 10, 15, 20):
             spec = CounterexampleSpec(e, geometric_alphas(big_k))
-            cf = build_counterexample(spec)
-            sq = np.linalg.svd(sum_operator(cf.family), compute_uv=False)[-1] ** 2
+            family = build_counterexample(spec)
+            sq = np.linalg.svd(sum_operator(family), compute_uv=False)[-1] ** 2
             assert sq <= (1.0 - spec.alphas[-1]) + 1e-9
             values.append(sq)
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def _stray_entry(cf):
+def _stray_entry(family):
     """The family with one entry of member 0 moved outside its blocks."""
-    n = cf.block_vectors[0].shape[0]
-    basis = cf.family.members[0].basis.copy()
+    n = family.n
+    basis = family.members[0].basis.copy()
     basis[n, 0] = 1e-12  # block-1 coordinates, column 0
-    return (Subspace(basis.shape[0], basis), *cf.family.members[1:])
+    return (Subspace(basis.shape[0], basis), *family.members[1:])
 
 
-def _padded(cf):
+def _padded(family):
     """Every member embedded in one more coordinate: R^(n*K + 1)."""
     return tuple(
         Subspace(m.ambient_dim + 1, np.vstack([m.basis, np.zeros((1, m.dim))]))
-        for m in cf.family.members
+        for m in family.members
     )
 
 
-def _short_member(cf):
+def _short_member(family):
     """Member 0 without its first block: dimensions K - 1 and K."""
-    first = cf.family.members[0]
-    return (Subspace(first.ambient_dim, first.basis[:, 1:]), *cf.family.members[1:])
+    first = family.members[0]
+    return (Subspace(first.ambient_dim, first.basis[:, 1:]), *family.members[1:])
 
 
 class TestBlockSingularValues:
@@ -431,32 +443,29 @@ class TestBlockSingularValues:
     @pytest.mark.parametrize("n, big_k", [(2, 1), (2, 20), (3, 3), (16, 40)])
     def test_matches_full_svd(self, n, big_k):
         spec = CounterexampleSpec(all_equal_boundary(n), geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        full = np.linalg.svd(sum_operator(cf.family), compute_uv=False)[-1]
-        assert abs(verify_counterexample(cf, spec).sigma_min - full) <= 1e-15
+        family = build_counterexample(spec)
+        full = np.linalg.svd(sum_operator(family), compute_uv=False)[-1]
+        assert abs(verify_counterexample(family, spec).sigma_min - full) <= 1e-15
 
     @pytest.mark.parametrize("alter", [_stray_entry, _padded, _short_member])
-    def test_off_block_support_fails_with_full_sigma(self, alter):
+    def test_off_block_support_fails_with_an_empty_record(self, alter):
         spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(3))
-        cf = build_counterexample(spec)
-        members = alter(cf)
-        family = SubspaceFamily(members[0].ambient_dim, members)
-        altered = CounterexampleFamily(family, cf.block_vectors, cf.c)
+        members = alter(build_counterexample(spec))
+        altered = SubspaceFamily(members[0].ambient_dim, members)
         with pytest.raises(VerificationFailed, match=r"\[k\*n, \(k\+1\)\*n\)") as exc_info:
             verify_counterexample(altered, spec)
         assert "not block diagonal" in str(exc_info.value)
         record = exc_info.value.record
-        assert not record.passed
-        full = np.linalg.svd(sum_operator(family), compute_uv=False)[-1]
-        assert record.sigma_min == full
-        rows, cols = np.triu_indices(family.n, 1)
-        expected = build_e_matrix(family).entries[rows, cols]
-        assert np.array_equal(measured_pairs(record), expected)
+        assert (record.pairs, record.combination_residuals) == ((), ())
+        assert record.sigma_min is None and record.sigma_min_sq is None
+        assert not record.linearly_independent and not record.passed
+        assert record.degeneration_limit == 1.0 - spec.alphas[-1]
+        json.dumps(vars(record), allow_nan=False)
 
     def test_no_svd_of_the_whole_operator(self, monkeypatch):
         n, big_k = 16, 40
         spec = CounterexampleSpec(all_equal_boundary(n), geometric_alphas(big_k))
-        cf = build_counterexample(spec)
+        family = build_counterexample(spec)
         shapes = []
         svd = np.linalg.svd
 
@@ -465,7 +474,7 @@ class TestBlockSingularValues:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        assert verify_counterexample(cf, spec).passed
+        assert verify_counterexample(family, spec).passed
         assert shapes
         assert max(max(shape[-2:]) for shape in shapes) <= max(n, big_k)
 
@@ -481,24 +490,21 @@ class TestBlockCosines:
     """Pair cosines are read from the K diagonal blocks, as max_k |(V_k'V_k)_ij|."""
 
     @pytest.mark.parametrize("e, big_k", BLOCK_FAMILIES)
-    def test_forms_no_sum_operator_or_gram(self, e, big_k, monkeypatch):
+    def test_forms_no_sum_operator_or_gram(self, e, big_k):
         spec = CounterexampleSpec(e, geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the block path formed S or cut E from S'S")
-
-        monkeypatch.setattr(counterexamples, "sum_operator", forbidden)
-        monkeypatch.setattr(counterexamples, "_cosine_matrix", forbidden)
-        assert verify_counterexample(cf, spec).passed
+        family = build_counterexample(spec)
+        # no name left to call: the verifier has one path, the block path
+        assert not hasattr(counterexamples, "sum_operator")
+        assert not hasattr(counterexamples, "_cosine_matrix")
+        assert verify_counterexample(family, spec).passed
 
     @pytest.mark.parametrize("e, big_k", BLOCK_FAMILIES)
     def test_pairs_match_svd_oracle(self, e, big_k):
         spec = CounterexampleSpec(e, geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        record = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        record = verify_counterexample(family, spec)
         rows, cols = np.triu_indices(e.n, 1)
-        expected = svd_cosine_matrix(cf.family).entries[rows, cols]
+        expected = svd_cosine_matrix(family).entries[rows, cols]
         assert np.array_equal(measured_pairs(record), expected)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -506,15 +512,15 @@ class TestBlockCosines:
         # V_k'V_k and S'S sum the same products in different orders
         n, big_k = 30, 10
         spec = CounterexampleSpec(random_boundary(seed, n), geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        record = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        record = verify_counterexample(family, spec)
         rows, cols = np.triu_indices(n, 1)
-        expected = svd_cosine_matrix(cf.family).entries[rows, cols]
+        expected = svd_cosine_matrix(family).entries[rows, cols]
         assert np.abs(measured_pairs(record) - expected).max() <= 1e-15
 
 
 class TestCombinationResiduals:
-    """Check (b) reads the (K, n, n) stack of block vectors in one product."""
+    """Check (b) reads the family's (K, n, n) stack of block vectors in one product."""
 
     @pytest.mark.parametrize(
         "e, big_k",
@@ -528,47 +534,36 @@ class TestCombinationResiduals:
     )
     def test_one_residual_per_alpha_as_per_block(self, e, big_k):
         spec = CounterexampleSpec(e, geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        assert cf.block_vectors.shape == (big_k, e.n, e.n)
-        assert not cf.block_vectors.flags.writeable
-        record = verify_counterexample(cf, spec)
+        family = build_counterexample(spec)
+        blocks, c = gram_vectors(spec.e, spec.alphas), principal_eigenvector(spec.e)
+        assert blocks.shape == (big_k, e.n, e.n)
+        record = verify_counterexample(family, spec)
         residuals = record.combination_residuals
         assert len(residuals) == spec.K
-        for resid, alpha, v in zip(residuals, spec.alphas, cf.block_vectors):
+        for resid, alpha, v in zip(residuals, spec.alphas, blocks):
             # the same residual, one block at a time
-            assert resid == abs(float(np.sum((v @ cf.c) ** 2)) - (1.0 - alpha))
+            assert resid == abs(float(np.sum((v @ c) ** 2)) - (1.0 - alpha))
             assert resid <= 1e-10
-
-    def test_record_keeps_its_own_copy_of_the_stack(self):
-        spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(4))
-        cf = build_counterexample(spec)
-        given = np.array(cf.block_vectors)
-        record = CounterexampleFamily(cf.family, given, cf.c)
-        given[:] = 0.0
-        assert np.array_equal(record.block_vectors, cf.block_vectors)
-        assert verify_counterexample(record, spec).passed
-
-    def test_sequence_of_blocks_is_stacked(self):
-        spec = CounterexampleSpec(all_equal_boundary(3), geometric_alphas(4))
-        cf = build_counterexample(spec)
-        record = CounterexampleFamily(cf.family, list(cf.block_vectors), cf.c)
-        assert np.array_equal(record.block_vectors, cf.block_vectors)
-        assert not record.block_vectors.flags.writeable
 
     @pytest.mark.parametrize("held", [2, 4])
     def test_block_count_mismatch_fails_with_record(self, held):
-        spec = CounterexampleSpec(EMatrix(2, [[0, 1], [1, 0]]), geometric_alphas(3))
-        cf = build_counterexample(spec)
-        blocks = np.concatenate([cf.block_vectors, cf.block_vectors[-1:]])[:held]
-        altered = CounterexampleFamily(cf.family, blocks, cf.c)
+        # the longer schedule is the shorter one plus an alpha 2^-40 above
+        # its last, so the pair cosines agree to within tolerance and the
+        # block count is the first check to fail
+        e = EMatrix(2, [[0, 1], [1, 0]])
+        shorter = geometric_alphas(min(held, 3))
+        longer = shorter + (shorter[-1] + 2.0**-40,)
+        built, checked = (shorter, longer) if held == 2 else (longer, shorter)
+        spec = CounterexampleSpec(e, checked)
+        family = build_counterexample(CounterexampleSpec(e, built))
         mismatch = f"{held} blocks .* 3 alphas"
         with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
-            verify_counterexample(altered, spec)
+            verify_counterexample(family, spec)
         record = exc_info.value.record
         assert not record.passed
         # the residuals of the blocks that both sides have
-        expected = verify_counterexample(cf, spec).combination_residuals
-        assert record.combination_residuals == expected[:held]
+        expected = verify_counterexample(build_counterexample(spec), spec)
+        assert record.combination_residuals == expected.combination_residuals[:held]
 
 
 class TestStackedMembers:
@@ -581,15 +576,17 @@ class TestStackedMembers:
 
     @pytest.mark.parametrize("e, big_k", FAMILIES)
     def test_members_are_read_only_views_of_one_stack(self, e, big_k):
-        cf = build_counterexample(CounterexampleSpec(e, geometric_alphas(big_k)))
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        family = build_counterexample(spec)
+        blocks = gram_vectors(spec.e, spec.alphas)
         d, ks = e.n * big_k, np.arange(big_k)
-        stack = cf.family.members[0].basis.base
+        stack = family.members[0].basis.base
         assert stack.shape == (e.n, d, big_k)
-        for i, member in enumerate(cf.family.members):
+        for i, member in enumerate(family.members):
             assert member.basis.base is stack
             # the member as it was built one at a time, through the constructor
             basis = np.zeros((d, big_k))
-            basis.reshape(big_k, e.n, big_k)[ks, :, ks] = cf.block_vectors[:, :, i]
+            basis.reshape(big_k, e.n, big_k)[ks, :, ks] = blocks[:, :, i]
             assert np.array_equal(member.basis, Subspace(d, basis).basis)
             with pytest.raises(ValueError, match="read-only"):
                 member.basis[0, 0] = 0.5
@@ -597,14 +594,34 @@ class TestStackedMembers:
     @pytest.mark.parametrize("e, big_k", FAMILIES)
     def test_copied_members_write_and_verify_the_same(self, e, big_k, tmp_path):
         spec = CounterexampleSpec(e, geometric_alphas(big_k))
-        cf = build_counterexample(spec)
-        d = cf.family.ambient_dim
+        family = build_counterexample(spec)
+        d = family.ambient_dim
         copied = SubspaceFamily(
-            d, tuple(Subspace(d, m.basis.copy()) for m in cf.family.members)
+            d, tuple(Subspace(d, m.basis.copy()) for m in family.members)
         )
         stacked_path, copied_path = tmp_path / "stacked.json", tmp_path / "copied.json"
-        io.save_family(stacked_path, cf.family)
+        io.save_family(stacked_path, family)
         io.save_family(copied_path, copied)
         assert stacked_path.read_text() == copied_path.read_text()
-        rebuilt = CounterexampleFamily(copied, cf.block_vectors, cf.c)
-        assert verify_counterexample(cf, spec) == verify_counterexample(rebuilt, spec)
+        assert verify_counterexample(family, spec) == verify_counterexample(copied, spec)
+
+
+class TestWrittenFamily:
+    """The family file the writer gives verifies as the family in memory."""
+
+    @pytest.mark.parametrize(
+        "e, big_k",
+        [
+            pytest.param(permuted_ring_boundary(16, 3), 40, id="ring-16x40"),
+            pytest.param(ring(4, 0.5), 53, id="ring-4x53"),
+        ],
+    )
+    def test_reloaded_family_verifies_the_same(self, e, big_k, tmp_path):
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
+        family = build_counterexample(spec)
+        path = tmp_path / "family.json"
+        io.save_family(path, family)
+        loaded, _ = io.load_family(path)
+        record = verify_counterexample(loaded, spec)
+        assert record.passed
+        assert record == verify_counterexample(family, spec)
