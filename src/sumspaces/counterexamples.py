@@ -162,9 +162,12 @@ def build_counterexample(spec: CounterexampleSpec) -> SubspaceFamily:
     column, each supported on its own n coordinates; the columns are
     therefore orthonormal and each member is a valid K-dimensional
     subspace of R^(n*K).  The n bases are filled into one zero stack by
-    one scatter and checked in one product; each member's basis is a
-    read-only view of that stack (see ``Subspace``), so one member keeps
-    all n bases alive.
+    one scatter; each member's basis is a read-only view of that stack
+    (see ``Subspace``), so one member keeps all n bases alive.  As its
+    columns lie on disjoint coordinates, member i's Gram matrix is
+    diagonal and holds the squared norms |blocks[k, :, i]|^2, so the
+    orthonormality check reads them from the K blocks, without a product
+    over the stack.
     """
     n, big_k = spec.e.n, spec.K
     blocks = gram_vectors(spec.e, spec.alphas)
@@ -173,7 +176,8 @@ def build_counterexample(spec: CounterexampleSpec) -> SubspaceFamily:
     # blocks[k, j, i] goes to basis[k*n + j, k] of member i, as
     # _diagonal_blocks reads; the scatter's value is indexed [k, i, j]
     stack.reshape(n, big_k, n, big_k)[:, ks, :, ks] = blocks.transpose(0, 2, 1)
-    return SubspaceFamily(d, tuple(_stacked_members(stack)))
+    drift = np.abs(np.sum(blocks * blocks, axis=1) - 1.0).max(axis=0)
+    return SubspaceFamily(d, tuple(_stacked_members(stack, drift)))
 
 
 def verify_counterexample(

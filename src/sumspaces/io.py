@@ -17,7 +17,10 @@ numbers.  Families and cosine matrices reach the writer as float arrays,
 whose rows are assembled from runs of equal neighbours, a run of n equal
 entries being its text repeated n times: a counterexample family is
 almost all ``0.0`` in long runs, so it costs Python work per run, not per
-entry.
+entry.  The runs of all the arrays of a document (all the members of a
+family) are found first, and each distinct value among their first
+entries is formatted once; the rows are then made and written one member
+at a time.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from io import BytesIO, TextIOWrapper
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from .subspaces import SubspaceFamily, orthonormalize_all
 
 # JSON containers; a container holding none of these is written on one line.
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+# Distinct floats the array writer formats per json.dumps call.
+_FORMAT_CHUNK = 1024
 
 # The path a loader read last and the SHA-256 of the bytes read (None when
 # it was not a regular file); report_metadata takes the digest from here.
@@ -120,9 +125,14 @@ def _orthonormalized(arrays, names):
 
 
 def save_family(path, family: SubspaceFamily, names=None):
-    """Write a family file; basis columns become row vectors."""
-    if names is None:
-        names = [f"X{i + 1}" for i in range(family.n)]
+    """Write a family file; basis columns become row vectors.
+
+    ``names`` holds one name per member, ``X1``, ``X2``, ... by default;
+    names of another count raise ValueError before the file is opened.
+    """
+    names = [f"X{i + 1}" for i in range(family.n)] if names is None else list(names)
+    if len(names) != family.n:
+        raise ValueError(f"got {len(names)} names for {family.n} members")
     doc = {
         "ambient_dim": family.ambient_dim,
         "subspaces": [
@@ -335,22 +345,44 @@ def _write_json(fh, doc):
     ``tolist()`` would be, byte for byte, one row per line, but each row
     is joined from its runs of equal entries (see ``_row_texts``), so a
     family file holds one vector per line and no Python float is made per
-    entry.
+    entry.  The arrays of the whole document go to one ``_row_texts``
+    call before anything is written, so a value that recurs across them
+    (across the members of a family) is formatted once, and an array that
+    cannot be written raises before the output is begun.
     Keys must be strings, as in every document the package writes.  The
     output is written container by container; building the whole string
     first would hold a second copy of a large family in memory.
     """
-    _write_value(fh, doc, "\n")
+    _write_value(fh, doc, "\n", _row_texts(*_arrays_in(doc)))
     fh.write("\n")
 
 
-def _write_value(fh, value, newline):
-    """Write one JSON value; ``newline`` is a line break plus its indentation."""
+def _arrays_in(value):
+    """The arrays in ``value``, in the order ``_write_value`` meets them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [a for v in value if isinstance(v, _CONTAINERS) for a in _arrays_in(v)]
+
+
+def _write_value(fh, value, newline, rows):
+    """Write one JSON value; ``newline`` is a line break plus its indentation.
+
+    ``rows`` yields the row texts of the arrays in ``value``, in order.
+    """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
-        rows = _row_texts(value)
-        body = ("," + inner).join(rows)
-        fh.write("[" + inner + body + newline + "]" if rows else "[]")
+        texts = next(rows)
+        if not texts:
+            fh.write("[]")
+            return
+        # three writes: one string would copy the member's rows once more
+        fh.write("[" + inner)
+        fh.write(("," + inner).join(texts))
+        fh.write(newline + "]")
         return
     if isinstance(value, dict):
         children, brackets = value.values(), "{}"
@@ -366,40 +398,85 @@ def _write_value(fh, value, newline):
     sep = brackets[0] + inner
     for head, child in zip(heads, children):
         fh.write(sep + head)
-        _write_value(fh, child, inner)
+        _write_value(fh, child, inner, rows)
         sep = "," + inner
     fh.write(newline + brackets[1])
 
 
-def _row_texts(a):
-    """``json.dumps(row)`` for each row of ``a.tolist()``, for a 2-D float64 ``a``.
+def _row_texts(*arrays):
+    """``json.dumps(row)`` for each row of ``a.tolist()``, for each 2-D float64 ``a``.
 
-    Each row is assembled from its runs of equal entries, not from its
-    entries: a run starts at every row start and wherever an entry differs
-    from its left neighbour, so no run spans two rows.  Entries are
-    compared as int64 bits, so ``-0.0`` and ``0.0`` (and NaNs with
-    different payloads) stay apart.  The first entries of the runs are
-    formatted by one ``json.dumps`` of their list, which gives the C
+    Returns an iterator that gives one list of row texts per array, in
+    order.  Each row is assembled from its runs of equal entries, not
+    from its entries: a run starts at every row start and wherever an
+    entry differs from its left neighbour, so no run spans two rows.
+    Entries are compared as int64 bits, so ``-0.0`` and ``0.0`` (and NaNs
+    with different payloads) stay apart.  The bits of the first entries
+    of the runs of all the arrays are sorted once, and each distinct bit
+    pattern is formatted once by ``json.dumps``, which gives the C
     encoder's text for each (``Infinity`` included).  A run of length L
     becomes ``(text + ", ") * L``, and each row joins its runs and drops
     the last ``", "``, so the Python-level work grows with the number of
-    runs, not of entries.  A counterexample family is mostly long runs of
-    ``0.0``: the 16-member ring with 40 blocks has 11,488 runs in 409,600
-    entries.
+    runs, not of entries, and the formatting with the number of distinct
+    values.  A counterexample family is mostly long runs of ``0.0``: the
+    16-member ring with 40 blocks has 11,488 runs in 409,600 entries,
+    whose first entries take 8,471 distinct values.  Every array is
+    checked and cut into runs before this returns; the iterator then
+    holds the distinct texts and a few integers per run, and makes the
+    row texts of one array at a time.
+    """
+    plans = [_runs(a) for a in arrays]
+    cuts = np.cumsum([bits.size for bits, _, _ in plans])[:-1]
+    heads = np.concatenate([bits for bits, _, _ in plans] or [np.empty(0, np.int64)])
+    plans = [(lengths, counts) for _, lengths, counts in plans]
+    order = np.argsort(heads)
+    ranked = heads[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    # slots[i] is the place of head i's bits among the distinct ones
+    slots = np.empty(order.size, dtype=np.intp)
+    slots[order] = np.cumsum(new) - 1
+    values = ranked[new].view(np.float64)
+    del heads, order, ranked, new
+    # the encoder holds a string per value until it returns: a chunk at a time
+    texts = [
+        text + ", "
+        for i in range(0, values.size, _FORMAT_CHUNK)
+        for text in json.dumps(values[i:i + _FORMAT_CHUNK].tolist())[1:-1].split(", ")
+    ]
+    return (
+        _joined_rows(texts, runs, lengths, counts)
+        for runs, (lengths, counts) in zip(np.split(slots, cuts), plans)
+    )
+
+
+def _runs(a):
+    """The runs of equal entries in the rows of the 2-D float64 ``a``.
+
+    Returns the int64 bits of each run's first entry and each run's
+    length, runs in row-major order, and the number of runs in each row.
+    A transposed array is read where it lies, not copied.
     """
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array as JSON")
-    rows, cols = a.shape
-    if not a.size:
-        return ["[]"] * rows
-    bits = a.view(np.int64).ravel()
-    head = np.empty(bits.size, dtype=bool)
-    head[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    head[::cols] = True
-    starts = np.flatnonzero(head)
-    texts = json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", ")
-    lengths = np.diff(starts, append=bits.size).tolist()
-    runs = [(t + ", ") * n for t, n in zip(texts, lengths)]
-    ends = np.cumsum(np.count_nonzero(head.reshape(rows, cols), axis=1)).tolist()
-    return ["[" + "".join(runs[s:e])[:-2] + "]" for s, e in zip([0, *ends], ends)]
+    bits = a.view(np.int64)
+    head = np.empty(a.shape, dtype=bool)
+    head[:, :1] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
+    lengths = np.diff(np.flatnonzero(head), append=a.size)
+    return bits[head], lengths, np.count_nonzero(head, axis=1)
+
+
+def _joined_rows(texts, slots, lengths, counts):
+    """One array's row texts; its run k is ``texts[slots[k]] * lengths[k]``.
+
+    Row r joins the next ``counts[r]`` runs, so only one row's runs are
+    held at a time.
+    """
+    runs = zip(slots.tolist(), lengths.tolist())
+    rows = (
+        "".join([texts[i] * n for i, n in islice(runs, count)])
+        for count in counts.tolist()
+    )
+    return ["[" + row[:-2] + "]" for row in rows]

@@ -35,9 +35,11 @@ class Subspace:
     ``Subspace(d, basis)`` keeps a read-only copy of ``basis`` and checks
     it.  The members the package builds itself (``orthonormalize_all``,
     the loader, ``build_counterexample``) skip the copy: each basis is a
-    read-only view of one stack per basis shape, checked as a whole by
-    the same test with the same message, so one member keeps its whole
-    stack alive.
+    read-only view of one stack per basis shape, checked as a whole
+    against the same tolerance with the same message, so one member keeps
+    its whole stack alive.  ``orthonormalize_all`` checks its stacks by
+    the same product; ``build_counterexample`` reads the Gram matrices of
+    its members from its blocks, where they are diagonal.
     """
 
     ambient_dim: int
@@ -54,7 +56,7 @@ class Subspace:
             )
         if not 1 <= k <= d:
             raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-        _check_orthonormal(basis[None])
+        _check_orthonormal(_gram_drift(basis[None]))
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -62,15 +64,22 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _check_orthonormal(stack):
-    """Raise ValueError unless every basis in the (N, d, k) ``stack`` is orthonormal.
+def _gram_drift(stack):
+    """The drift of each basis in the (N, d, k) ``stack``, by one batched product.
 
-    One batched product; the first basis, in order, whose Gram matrix
-    deviates from the identity by more than ORTHONORMALITY_TOL entrywise
-    is named by its drift.
+    A basis's drift is the largest entrywise deviation of its Gram matrix
+    from the identity.
     """
     gram = stack.transpose(0, 2, 1) @ stack
-    drift = np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2))
+    return np.abs(gram - np.eye(stack.shape[2])).max(axis=(1, 2))
+
+
+def _check_orthonormal(drift):
+    """Raise ValueError unless every basis's ``drift`` is within ORTHONORMALITY_TOL.
+
+    The first basis, in order, whose drift exceeds it (or is NaN) is
+    named by its drift.
+    """
     bad = np.flatnonzero(~(drift <= ORTHONORMALITY_TOL))  # also rejects a NaN drift
     if bad.size:
         raise ValueError(
@@ -78,14 +87,16 @@ def _check_orthonormal(stack):
         )
 
 
-def _stacked_members(stack) -> list:
+def _stacked_members(stack, drift) -> list:
     """One Subspace per basis of the fresh (N, d, k) ``stack``, without copies.
 
-    The stack is frozen and checked by ``_check_orthonormal``; each
+    ``drift`` holds each basis's drift (see ``_gram_drift``), which the
+    caller may read from a structure it knows the stack to have; it is
+    checked by ``_check_orthonormal``.  The stack is frozen, and each
     member's basis is a read-only view of it.
     """
     stack.setflags(write=False)
-    _check_orthonormal(stack)
+    _check_orthonormal(drift)
     members = []
     for basis in stack:
         member = object.__new__(Subspace)
@@ -196,7 +207,7 @@ def orthonormalize_all(raws) -> list:
     members = [None] * len(bases)
     for positions in shapes.values():
         stack = np.stack([bases[i] for i in positions])
-        for i, member in zip(positions, _stacked_members(stack)):
+        for i, member in zip(positions, _stacked_members(stack, _gram_drift(stack))):
             members[i] = member
     return members
 

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import random_subspace
 from sumspaces import (
     CounterexampleSpec,
     EMatrix,
+    Subspace,
     SubspaceFamily,
     build_counterexample,
     build_e_matrix,
@@ -95,6 +97,17 @@ class TestFamilyFiles:
         loaded, names = io.load_family(first)
         io.save_family(second, loaded, names=names)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "names", [["A"], ["A", "B", "C", "D"]], ids=["short", "long"]
+    )
+    def test_name_count_must_match_the_members(self, tmp_path, names):
+        rng = np.random.default_rng(11)
+        f = SubspaceFamily(4, tuple(random_subspace(rng, 4, 1) for _ in range(3)))
+        path = tmp_path / "family.json"
+        with pytest.raises(ValueError, match=f"got {len(names)} names for 3 members"):
+            io.save_family(path, f, names=names)
+        assert not path.exists()
 
     def test_one_line_per_vector(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -287,6 +300,11 @@ def ring_matrix(n, cosine=0.5):
     return entries
 
 
+def encoded_rows(a):
+    """The encoder's text of each row of the 2-D array ``a``."""
+    return [json.dumps(row) for row in a.tolist()]
+
+
 # A small pool of values, so neighbours are often equal: signed zeros, two
 # NaN payloads, infinities and two finite values.
 _RUN_VALUES = np.concatenate(
@@ -301,6 +319,53 @@ _RUN_HEAVY = hnp.arrays(
     elements=st.integers(0, len(_RUN_VALUES) - 1),
 ).map(_RUN_VALUES.__getitem__)
 _RUN_HEAVY_MATRICES = st.one_of(_RUN_HEAVY, _RUN_HEAVY.map(np.transpose))
+
+# Values whose texts lie at the edges of repr's forms: signed zeros, the
+# least subnormal, either side of 1e16, from which repr writes an exponent,
+# and of 1e-4, below which it does, plus 1.0 and the infinities.
+_EDGE_VALUES = np.array(
+    [
+        0.0, -0.0, 5e-324, -5e-324, 1.0, -np.inf, np.inf,
+        9999999999999998.0, 1e16, 1.0000000000000002e16,
+        9.999999999999999e-05, 0.0001, 0.00010000000000000002, 1e-05,
+    ]
+)
+_EDGE = hnp.arrays(
+    np.intp,
+    st.tuples(st.integers(0, 5), st.integers(0, 12)),
+    elements=st.integers(0, len(_EDGE_VALUES) - 1),
+).map(_EDGE_VALUES.__getitem__)
+_EDGE_MATRICES = st.one_of(_EDGE, _EDGE.map(np.transpose))
+# Entries that may sit beside an entry sqrt(1 - s^2) in a unit column
+_SMALL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-05, -1e-05,
+    9.999999999999999e-05, 0.0001, -0.00010000000000000002,
+]
+
+
+@st.composite
+def _orthonormal_families(draw):
+    """Members of distinct dimensions in R^d, whose entries repeat across members.
+
+    Column j of a member has one entry sqrt(1 - s^2) and one entry s from
+    ``_SMALL_VALUES`` on coordinates of its own, and signed zeros
+    elsewhere, so its Gram matrix is the identity to within a few ulps
+    and the loader keeps the basis as it is written.
+    """
+    d = draw(st.integers(2, 12))
+    dims = draw(st.lists(st.integers(1, d // 2), min_size=1, max_size=4, unique=True))
+    members = []
+    for k in dims:
+        signs = draw(hnp.arrays(bool, (d, k)))
+        basis = np.where(signs, -0.0, 0.0)
+        coords = draw(st.permutations(range(d)))
+        for j in range(k):
+            s = draw(st.sampled_from(_SMALL_VALUES))
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            basis[coords[2 * j], j] = sign * math.sqrt(1.0 - s * s)
+            basis[coords[2 * j + 1], j] = s
+        members.append(Subspace(d, basis))
+    return SubspaceFamily(d, tuple(members))
 
 
 class TestArrayWriter:
@@ -325,18 +390,60 @@ class TestArrayWriter:
         ids=["zero-run-crosses-rows", "one-column", "one-value", "signed-zeros", "dense"],
     )
     def test_rows_are_cut_into_runs_of_equal_bits(self, a):
-        assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
+        assert list(io._row_texts(a)) == [encoded_rows(a)]
 
     def test_ring_family_rows_match_the_encoder(self):
         spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
-        for member in build_counterexample(spec).members:
-            a = member.basis.T
-            assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
+        arrays = [member.basis.T for member in build_counterexample(spec).members]
+        assert list(io._row_texts(*arrays)) == [encoded_rows(a) for a in arrays]
 
     @settings(max_examples=200, deadline=None)
     @given(_RUN_HEAVY_MATRICES)
     def test_run_heavy_rows_match_the_encoder(self, a):
-        assert io._row_texts(a) == [json.dumps(row) for row in a.tolist()]
+        assert list(io._row_texts(a)) == [encoded_rows(a)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_EDGE_MATRICES, min_size=1, max_size=5))
+    def test_arrays_sharing_values_match_the_encoder(self, arrays):
+        assert list(io._row_texts(*arrays)) == [encoded_rows(a) for a in arrays]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_orthonormal_families())
+    def test_families_sharing_values_write_and_reload_exactly(self, family):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "family.json"
+            io.save_family(path, family)
+            rows = [
+                line.strip().rstrip(",")
+                for line in path.read_text().splitlines()
+                if line.lstrip().startswith("[") and line.rstrip(",").endswith("]")
+            ]
+            loaded, _ = io.load_family(path)
+        assert rows == [row for m in family.members for row in encoded_rows(m.basis.T)]
+        assert [m.dim for m in loaded.members] == [m.dim for m in family.members]
+        for orig, back in zip(family.members, loaded.members):
+            # bit for bit: -0.0 reloads as -0.0
+            assert np.array_equal(back.basis.view(np.int64), orig.basis.view(np.int64))
+
+    def test_ring_family_formats_each_distinct_value_once(self, monkeypatch, tmp_path):
+        spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
+        family = build_counterexample(spec)
+        formatted = []
+
+        def dumps(value, *args, **kwargs):
+            if isinstance(value, list):
+                formatted.extend(value)
+            return json.dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(io, "json", SimpleNamespace(dumps=dumps, loads=json.loads))
+        io.save_family(tmp_path / "ring.json", family)
+        # 11,488 runs of equal entries, whose first entries hold 8,471 values
+        assert len(formatted) == 8471
+        assert len(set(np.array(formatted).view(np.int64).tolist())) == 8471
+        monkeypatch.undo()
+        loaded, _ = io.load_family(tmp_path / "ring.json")
+        for orig, back in zip(family.members, loaded.members):
+            assert np.array_equal(back.basis, orig.basis)
 
     @pytest.mark.parametrize(
         "a", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=np.float32)]

@@ -21,13 +21,14 @@ from sumspaces import (
     build_e_matrix,
     geometric_alphas,
     gram_vectors,
+    orthonormalize_all,
     principal_eigenvector,
     restricted_norm,
     spectral_radius,
     sum_operator,
     verify_counterexample,
 )
-from sumspaces import counterexamples, io
+from sumspaces import counterexamples, io, subspaces
 
 
 def all_equal_boundary(n):
@@ -317,6 +318,37 @@ class TestBuildCounterexample:
         monkeypatch.undo()
         blocks = counterexamples._diagonal_blocks(family)
         assert np.array_equal(blocks, gram_vectors(spec.e, spec.alphas))
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan], ids=["off-norm", "nan"])
+    def test_bad_block_column_fails_with_the_dense_check_message(
+        self, monkeypatch, scale
+    ):
+        n, big_k = 4, 5
+        spec = CounterexampleSpec(ring(n, 0.5), geometric_alphas(big_k))
+        blocks = gram_vectors(spec.e, spec.alphas)
+        blocks[2, :, 1] *= scale
+        monkeypatch.setattr(counterexamples, "gram_vectors", lambda e, alphas: blocks)
+        # member 1 as the constructor, with its dense Gram product, rejects it
+        d, ks = n * big_k, np.arange(big_k)
+        basis = np.zeros((d, big_k))
+        basis.reshape(big_k, n, big_k)[ks, :, ks] = blocks[:, :, 1]
+        with pytest.raises(ValueError, match="not orthonormal") as dense:
+            Subspace(d, basis)
+        with pytest.raises(ValueError) as built:
+            build_counterexample(spec)
+        assert str(built.value) == str(dense.value)
+
+    def test_build_forms_no_dense_gram_product(self, monkeypatch):
+        def refuse(stack):
+            raise AssertionError(f"dense Gram product of a {stack.shape} stack")
+
+        monkeypatch.setattr(subspaces, "_gram_drift", refuse)
+        spec = CounterexampleSpec(permuted_ring_boundary(16, 3), geometric_alphas(40))
+        family = build_counterexample(spec)
+        assert family.n == 16
+        # the loader's batches still take the dense check
+        with pytest.raises(AssertionError, match="dense Gram product"):
+            orthonormalize_all([family.members[0].basis])
 
     def test_measured_e_matrix_is_scaled_input(self):
         e = all_equal_boundary(4)
