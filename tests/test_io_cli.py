@@ -227,6 +227,12 @@ class TestFamilyFiles:
     def test_load_peak_memory(self, tmp_path):
         # The unbatched loader peaked at 6.42 MB on this 2.5 MB file, and a
         # batched loader that keeps the parsed document alive at 7.05 MB.
+        # tracemalloc sees the Python objects and numpy buffers only: the
+        # document orjson builds before it makes the Python objects (about
+        # 16 B per JSON value, plus a copy of the text) is allocated outside
+        # Python's allocators, so this bounds the loader's own allocations,
+        # not the process's peak (its VmHWM rises by about 2.3 MB more
+        # than with json.loads on this file).
         path = three_hundred_lines_file(tmp_path)
         io.load_family(path)
         tracemalloc.start()
