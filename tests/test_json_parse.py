@@ -129,13 +129,13 @@ def json_texts(draw):
     if edit is not None and text:
         i = draw(st.integers(0, len(text) - 1))
         if edit == "insert":
-            char = draw(st.sampled_from(list(',]}"\\-.e0 N\x00﻿')))
+            char = draw(st.sampled_from(list(',]}"\\-.e0 N\x00\ufeff')))
             text = text[:i] + char + text[i:]
         elif edit == "delete":
             text = text[:i] + text[i + 1:]
         else:
             text = text[:i]
-    return draw(st.sampled_from(["", "", "", " ", "﻿"])) + text
+    return draw(st.sampled_from(["", "", "", " ", "\ufeff"])) + text
 
 
 @settings(max_examples=400, deadline=None)
@@ -196,7 +196,7 @@ FAMILY_CORPUS = {
     **{f"vectors-{x}": FAMILY % ("2", '"A"', x) for x in NUMBERS},
     **{f"ambient_dim-{x}": FAMILY % (x, '"A"', "1.0") for x in NUMBERS[5:]},
     "lone-surrogate-name": FAMILY % ("2", '"\\ud800"', "1.0"),
-    "bom": "﻿" + FAMILY % ("2", '"A"', "1.0"),
+    "bom": "\ufeff" + FAMILY % ("2", '"A"', "1.0"),
     "duplicate-keys": FAMILY[:-1] % ("3", '"A"', "1.0")
     + ', "ambient_dim": 2, "subspaces": [{"vectors": [[0.0, 1.0]], "name": "B", "name": "C"}]}',
     "nested-100k": DEEP,
@@ -208,7 +208,7 @@ FAMILY_CORPUS = {
 MATRIX_CORPUS = {
     **{f"entries-{x}": MATRIX % ("2", x, x) for x in NUMBERS},
     **{f"n-{x}": MATRIX % (x, "0.5", "0.5") for x in NUMBERS[5:]},
-    "bom": "﻿" + MATRIX % ("2", "0.5", "0.5"),
+    "bom": "\ufeff" + MATRIX % ("2", "0.5", "0.5"),
     "duplicate-keys": '{"n": 3, "entries": [[0.0]], "n": 2, "entries": [[0.0, 1], [1, 0.0]]}',
     "nested-100k": DEEP,
     "nested-100k-in-object": MATRIX[:-1] % ("2", "0.5", "0.5") + ', "x": ' + DEEP + "}",
