@@ -7,14 +7,18 @@ per spanning-set shape (one stacked Gram test and one stacked SVD), so a
 family of 300 lines takes one SVD, not 300, and the members are views of
 one checked stack per basis shape.  An input file is read once: the
 report's digest is the one the loader took of the bytes it read, and
-``report_metadata`` reads nothing.  Input files are parsed by orjson,
-about six times as fast as ``json.loads``, which parses instead every
-file where the two could differ: one that orjson rejects (``NaN``,
-``Infinity``, ``1e400``, a lone surrogate escape), one that holds an
-integer literal of 19 digits or more (which orjson may read as a float),
-one nested more than ``_ORJSON_DEPTH`` deep (which ``json.loads`` may
-refuse), and one that is not ASCII (a BOM, say).  Both round every
-number correctly, so the loaded values are the same either way.  Floats are
+``report_metadata`` reads nothing.  Input files are read as UTF-8 and
+parsed by orjson, about six times as fast as ``json.loads``, and the
+loader validates orjson's document with three more checks: every number
+it reads is below 2**63 in magnitude, every member name is a string, and
+no key is present that the loader does not read.  A document that passes
+them is the one ``json.loads`` would give: the two parsers differ only
+on integer literals outside 64 bits, which orjson reads as floats of
+magnitude 2**63 or more, and on nesting deep enough that ``json.loads``
+raises ``RecursionError``.  A file that orjson rejects (``NaN``,
+``Infinity``, ``1e400``, a lone surrogate escape, a BOM), or whose
+document fails any check, is parsed again by ``json.loads``, whose
+document gives every value, warning and error.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it
 reproduces identical numbers.  Every JSON output goes through one writer
@@ -39,7 +43,6 @@ import sys
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from io import BytesIO, TextIOWrapper
 from itertools import islice, repeat
 
 import numpy as np
@@ -55,15 +58,10 @@ from .subspaces import SubspaceFamily, orthonormalize_all
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 # Distinct floats the array writer formats per json.dumps call.
 _FORMAT_CHUNK = 1024
-# For _orjson_agrees: digits become "0", and the bytes that may precede a
-# number ("[", ",", ":", whitespace and "-") become ",", so that an
-# integer literal of 19 or more digits shows as _LONG_INTEGER.
-_NUMBER_TABLE = bytes.maketrans(b"0123456789[,: \t\n\r-", b"0" * 10 + b"," * 8)
-_LONG_INTEGER = b"," + b"0" * 19
-# Every byte but the brackets and the quote; and the deepest nesting left
-# to orjson (a family file nests 5 deep).
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
-_ORJSON_DEPTH = 64
+# The keys the loaders read; orjson's document may hold no others.
+_FAMILY_KEYS = {"ambient_dim", "subspaces"}
+_MEMBER_KEYS = {"name", "vectors"}
+_MATRIX_KEYS = {"n", "entries"}
 
 # The path a loader read last and the SHA-256 of the bytes read (None when
 # it was not a regular file); report_metadata takes the digest from here.
@@ -81,40 +79,62 @@ def load_family(path):
     before it are orthonormalized and warned about before the error is
     raised, so the warnings come first, as they would one entry at a time.
     """
-    doc, may_hold_bools = _read_object(path, "family")
+    d, arrays, names, error = _read_object(path, "family", _FAMILY_KEYS, _family_arrays)
+    members = _orthonormalized(arrays, names)
+    if error is not None:
+        raise error
+    return SubspaceFamily(d, tuple(members)), names
+
+
+def _family_arrays(doc, may_hold_bools, limit):
+    """The family document's dimension, vector arrays, names and first invalid entry.
+
+    The entries are validated in order up to the first invalid one, whose
+    ValueError is returned with the arrays and names before it; on
+    orjson's document (``limit`` below inf) it is raised.  Each entry's
+    lists are freed once converted, so the document shrinks as the arrays
+    grow.
+    """
     d = _integer_field(doc, "ambient_dim", "family")
     entries = doc.get("subspaces")
     if d < 1:
         raise ValueError(f"ambient_dim must be positive, got {d}")
     if not isinstance(entries, list) or not entries:
         raise ValueError("subspaces must be a non-empty list")
-
     arrays, names = [], []
     for idx, entry in enumerate(entries):
         try:
-            name, arr = _member_vectors(idx, entry, d, may_hold_bools)
-        except ValueError:
-            _orthonormalized(arrays, names)
-            raise
+            name, arr = _member_vectors(idx, entry, d, may_hold_bools, limit)
+        except ValueError as exc:
+            if limit < np.inf:
+                raise
+            return d, arrays, names, exc
+        entries[idx] = None  # free the member's lists
         arrays.append(arr)
         names.append(name)
-    # the parsed document is no longer needed: free it before stacking
-    del doc, entries, entry
-    return SubspaceFamily(d, tuple(_orthonormalized(arrays, names))), names
+    return d, arrays, names, None
 
 
-def _member_vectors(idx, entry, d, may_hold_bools):
-    """The name and the finite (m, d) vector array of family entry ``idx``."""
+def _member_vectors(idx, entry, d, may_hold_bools, limit):
+    """The name and the (m, d) vector array of family entry ``idx``.
+
+    Every entry must be below ``limit`` in magnitude: inf, so finite, on
+    ``json.loads``'s document, and 2**63 on orjson's, whose entries must
+    also have a string name, if any, and no key but the two read.
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"subspace entry {idx} must be a JSON object")
-    name = str(entry.get("name", f"X{idx + 1}"))
+    name = entry.get("name", f"X{idx + 1}")
+    if limit < np.inf and (type(name) is not str or not entry.keys() <= _MEMBER_KEYS):
+        raise ValueError(f"subspace entry {idx} is left to json.loads")
+    name = str(name)
     vectors = entry.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"subspace {name!r} needs at least one vector")
     arr = _number_array(vectors, f"subspace {name!r}: vectors", may_hold_bools)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError(f"subspace {name!r}: vectors must all have length {d}")
-    if not np.isfinite(arr).all():
+    if not (np.abs(arr) < limit).all():
         raise ValueError(f"subspace {name!r}: vectors must be finite")
     return name, arr
 
@@ -163,10 +183,21 @@ def save_family(path, family: SubspaceFamily, names=None):
 
 def load_ematrix(path) -> EMatrix:
     """Read an angle-cosine matrix file {"n": int, "entries": [[...]]}."""
-    doc, may_hold_bools = _read_object(path, "matrix")
+    return _read_object(path, "matrix", _MATRIX_KEYS, _matrix)
+
+
+def _matrix(doc, may_hold_bools, limit):
+    """The matrix document's EMatrix; its entries must be below ``limit`` in magnitude.
+
+    ``EMatrix`` rejects entries that are not finite, so the bound matters
+    only on orjson's document, where it is 2**63.
+    """
     n = _integer_field(doc, "n", "matrix")
     entries = _number_array(doc.get("entries"), "matrix file: entries", may_hold_bools)
-    return EMatrix(n, entries)
+    matrix = EMatrix(n, entries)
+    if not (np.abs(entries) < limit).all():
+        raise ValueError("matrix file: entries are left to json.loads")
+    return matrix
 
 
 def save_ematrix(path, e: EMatrix):
@@ -277,17 +308,20 @@ def write_convergence_csv(path, report: ConvergenceReport):
             fh.write(f"{s.N},{s.error!r},{s.bound!r}\n")
 
 
-def _read_object(path, kind):
-    """Parse a JSON file that must hold one object.
+def _read_object(path, kind, keys, validate):
+    """What ``validate(doc, may_hold_bools, limit)`` makes of a JSON object file.
 
-    Returns the object and whether the text holds ``true`` or ``false``
-    anywhere, strings included: a file without either holds no boolean,
-    which spares ``_number_array`` a scan of every entry.  The file is
-    read once, as bytes; the path is kept for ``report_metadata`` with
-    their SHA-256 when it is a regular file, and with None otherwise.
-    ``_orjson_agrees`` looks at the bytes, which are then decoded as
-    ``open(path)`` would decode them and freed before parsing; the text
-    is parsed by ``_loads``, with orjson where the bytes allow it.
+    The file is read once, as bytes; the path is kept for
+    ``report_metadata`` with their SHA-256 when it is a regular file, and
+    with None otherwise.  ``may_hold_bools`` tells whether the bytes hold
+    ``true`` or ``false`` anywhere, strings included: a file without
+    either holds no boolean, which spares ``_number_array`` a scan of
+    every entry.  orjson parses the bytes first, and its document is
+    validated with ``limit = 2**63`` when it is an object holding no key
+    but ``keys``.  When orjson rejects the bytes, or the document fails
+    any check (a ValueError raised before any warning), the bytes are
+    decoded as UTF-8, whatever the locale, and ``json.loads``'s document
+    is validated with ``limit = inf``.
     """
     global _last_read
     with open(path, "rb") as fh:
@@ -295,92 +329,41 @@ def _read_object(path, kind):
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     digest = hashlib.sha256(data).hexdigest() if regular else None
     _last_read = (os.fspath(path), digest)
-    agrees = _orjson_agrees(data)
-    text = TextIOWrapper(BytesIO(data)).read()
+    may_hold_bools = _holds_boolean_literal(data)
+    try:
+        doc = orjson.loads(data)
+        if isinstance(doc, dict) and doc.keys() <= keys:
+            return validate(doc, may_hold_bools, 2**63)
+    except ValueError:  # orjson.JSONDecodeError included
+        pass
+    doc = None  # free orjson's document before json.loads builds its own
+    text = data.decode("utf-8")
     del data
     try:
-        doc = _loads(text, agrees)
+        doc = json.loads(text)
     except RecursionError:
         raise ValueError(f"{kind} file is nested too deeply") from None
+    del text
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
-    return doc, _holds_boolean_literal(text)
+    return validate(doc, may_hold_bools, np.inf)
 
 
-def _orjson_agrees(data):
-    """Whether orjson may parse the JSON text ``data`` in place of ``json.loads``.
-
-    The two parsers give equal values (floats to the bit, both correctly
-    rounded) on every document that orjson accepts, except in two ways,
-    and ``data`` must show neither:
-
-    - an integer literal outside ``[-2**63, 2**64)`` is a float to orjson
-      and an int to ``json.loads``, so the loader would accept what it
-      must reject.  Every such literal has 19 digits or more; in
-      ``data.translate(_NUMBER_TABLE)`` a run of 19 digits after a byte
-      that may precede a number reads ``_LONG_INTEGER``.  The digits of
-      a fraction follow ``.``, and an exponent has 19 digits only in
-      hand-written text, so a file written with ``repr`` never matches.
-    - orjson parses any nesting, where ``json.loads`` raises
-      ``RecursionError`` (which ``_read_object`` reports) near the
-      interpreter's recursion limit; deeper than ``_ORJSON_DEPTH`` is
-      left to ``json.loads``.  The depth is read from the brackets
-      outside strings, after escaped backslashes and quotes are dropped.
-
-    ``data`` must also be ASCII, so that it spells the same text in any
-    encoding ``open`` may decode it with: a file the package writes is,
-    as ``json.dumps`` escapes every other character.  On the 2.6 MB
-    analyze-ring family this takes 6 to 8 ms (4 for the integers, 1 for
-    the depth; one core of a shared 2-core host).
-    """
-    if not data.isascii():
-        return False
-    numbers = data.translate(_NUMBER_TABLE)
-    if numbers.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in numbers:
-        return False
-    del numbers
-    if b"\\" in data:
-        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    # every quote left opens or closes a string
-    brackets = np.frombuffer(
-        b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2]), np.uint8
-    )
-    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
-    return int(np.cumsum(steps).max(initial=0)) <= _ORJSON_DEPTH
-
-
-def _loads(text, orjson_agrees):
-    """``json.loads(text)``, parsed by orjson when ``orjson_agrees``.
-
-    orjson parses the 2.6 MB analyze-ring family in about 7 ms, where
-    ``json.loads`` takes about 40 (one core of a shared 2-core host).
-    Where orjson raises ``JSONDecodeError`` (``NaN``, ``Infinity``,
-    ``1e400``, a lone surrogate escape, malformed text),
-    ``json.loads`` parses the text again and gives its own value or error.
-    """
-    if orjson_agrees:
-        try:
-            return orjson.loads(text)
-        except orjson.JSONDecodeError:
-            pass
-    return json.loads(text)
-
-
-def _holds_boolean_literal(text):
-    """Whether ``text`` contains ``true`` or ``false``.
+def _holds_boolean_literal(data):
+    """Whether the bytes ``data`` contain ``true`` or ``false``.
 
     Each word is looked for at its third letter, ``u`` or ``l``, neither
     of which occurs in a JSON number or in the keys of a family or matrix
-    file except once, in ``"subspaces"``.  Finding one character is a
+    file except once, in ``"subspaces"``.  Finding one byte is a
     ``memchr``: on a 2.6 MB family file this takes about 0.15 ms, where
     finding the two words takes about 4 ms.
     """
-    for word in ("true", "false"):
-        i = text.find(word[2])
+    for word in (b"true", b"false"):
+        i = data.find(word[2])
         while i >= 0:
-            if i >= 2 and text.startswith(word, i - 2):
+            if i >= 2 and data.startswith(word, i - 2):
                 return True
-            i = text.find(word[2], i + 1)
+            i = data.find(word[2], i + 1)
     return False
 
 

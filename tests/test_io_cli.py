@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1029,9 +1030,9 @@ class TestCounterexampleCommand:
 class TestRunAsProgram:
     """``python -m sumspaces.cli`` runs the same commands as ``main``."""
 
-    def run(self, *args, cwd):
+    def run(self, *args, cwd, **environ):
         src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ)
+        env = dict(os.environ, **environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "sumspaces.cli", *args],
@@ -1057,6 +1058,25 @@ class TestRunAsProgram:
         assert json.loads((tmp_path / "verify.json").read_text())["verification"]["passed"]
         assert json.loads((tmp_path / "report.json").read_text())["criterion"]["satisfied"]
         assert (tmp_path / "errors.csv").read_text().startswith("N,error,bound\n")
+
+    @pytest.mark.parametrize(
+        "vector, code, stderr",
+        [
+            ("[1.0, 0.0]", 0, r""),
+            ("[NaN, 0.0]", 1, r"error: subspace '.+': vectors must be finite\n"),
+        ],
+        ids=["plain", "json.loads-route"],
+    )
+    def test_non_ascii_name_loads_in_the_c_locale(self, tmp_path, vector, code, stderr):
+        # input files are UTF-8 whatever the locale
+        text = '{"ambient_dim": 2, "subspaces": [{"name": "\u00e9t\u00e9", "vectors": [%s]}]}'
+        (tmp_path / "family.json").write_bytes((text % vector).encode())
+        done = self.run(
+            "analyze", "family.json", cwd=tmp_path,
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        )
+        assert done.returncode == code, done.stderr
+        assert re.fullmatch(stderr, done.stderr)
 
 
 class TestStagedOutputs:

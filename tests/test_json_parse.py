@@ -1,39 +1,47 @@
-"""Input files are parsed by orjson where it agrees with ``json.loads``.
+"""Input files are parsed by orjson, and by ``json.loads`` where orjson's
+document could differ from its.
 
-``io._loads`` must return what ``json.loads`` returns, to the type and
-the bit, and raise what it raises, on every text, given the routing of
-``io._orjson_agrees`` on the text's bytes.  The loaders must give the
-same families, matrices, warnings and errors as the ``json.loads`` route
-alone, which is the loader without orjson.
+orjson must parse every UTF-8 text it accepts as ``json.loads`` parses
+it, to the type and the bit, but for integer literals outside 64 bits,
+which it reads as floats of magnitude 2**63 or more.  The loaders must
+give the same families, matrices, warnings and errors as the
+``json.loads`` route alone, which is the loader with orjson refusing
+every file.
 """
 
 import json
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumspaces import io
+from sumspaces import CounterexampleSpec, EMatrix, build_counterexample, geometric_alphas, io
 
 
-def parse(text):
-    """What ``io._read_object`` makes of a file holding ``text``."""
-    return io._loads(text, io._orjson_agrees(text.encode()))
+def same(got, expected):
+    """Equal types and values throughout; floats are compared as int64 bits.
 
-
-def same(a, b):
-    """Equal types and values throughout; floats are compared as int64 bits."""
-    if type(a) is not type(b):
+    Where ``expected`` holds an integer outside ``[-2**63, 2**64)``,
+    ``got`` must hold a float of magnitude 2**63 or more, as orjson reads
+    one.
+    """
+    if type(expected) is int and not -(2**63) <= expected < 2**64:
+        return type(got) is float and abs(got) >= 2**63
+    if type(got) is not type(expected):
         return False
-    if isinstance(a, float):
-        return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(same, a, b))
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
-    return a == b
+    if isinstance(got, float):
+        return np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+    if isinstance(got, list):
+        return len(got) == len(expected) and all(map(same, got, expected))
+    if isinstance(got, dict):
+        return list(got) == list(expected) and all(same(got[k], expected[k]) for k in got)
+    return got == expected
 
 
 def outcome(fn, *args):
@@ -72,28 +80,40 @@ _LONG_DECIMALS = st.from_regex(
     r"-?[1-9][0-9]{19,39}(\.[0-9]+)?([eE][+-]?[0-9]{1,3})", fullmatch=True
 )
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
-_ESCAPES = st.sampled_from(
-    ['"\\ud83d\\ude00"', '"\\u00e9\\n\\t\\"\\\\"', '"[{\\"]}"', '"a\\\\"',
-     '"1234567890123456789012"', '"true"']
+# strings as json.dumps writes them: escaped, or with raw non-ASCII text
+_STRINGS = st.one_of(
+    _TEXT.map(json.dumps),
+    st.builds(json.dumps, _TEXT, ensure_ascii=st.just(False)),
+    st.sampled_from(
+        ['"\\ud83d\\ude00"', '"\\u00e9\\n\\t\\"\\\\"', '"[{\\"]}"', '"a\\\\"',
+         '"1234567890123456789012"', '"true"', '"\u00e9\ufffe\uffff\U0001f600"']
+    ),
 )
-# leaves that orjson parses as json.loads does
+# leaves that orjson accepts
 _PLAIN_LEAVES = st.one_of(
     _FLOATS.map(json.dumps),
     st.integers(-(10**18), 10**18).map(str),
     _DECIMALS,
-    _TEXT.map(json.dumps),
-    _ESCAPES,
+    _STRINGS,
     st.sampled_from(["true", "false", "null"]),
-)
-# and leaves that send the document to json.loads
-_LEAVES = st.one_of(
-    _PLAIN_LEAVES,
     _LONG_INTEGERS.map(str),
     _LONG_DECIMALS,
-    st.builds(json.dumps, _TEXT, ensure_ascii=st.just(False)),
+)
+# and leaves that it refuses
+_LEAVES = st.one_of(
+    _PLAIN_LEAVES,
     st.sampled_from(['"\\ud800"', '"\\udc00x"', "1e400", "NaN", "Infinity", "-Infinity"]),
 )
 _SEPARATORS = st.sampled_from([",", ", ", ",\n  ", " ,\t"])
+# UTF-8 edge cases: surrogates encoded in UTF-8, overlong forms, truncated
+# sequences, a code point above U+10FFFF, bytes UTF-8 never uses,
+# U+FFFE and U+FFFF, and the no-break space, which is not JSON whitespace
+_UTF8_EDGES = [
+    b"\xed\xa0\x80", b"\xed\xbf\xbf", b"\xed\xa0\xbd\xed\xb8\x80",
+    b"\xc0\xaf", b"\xc1\xbf", b"\xe0\x80\xaf", b"\xf0\x80\x80\xaf",
+    b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xf4\x90\x80\x80", b"\xfe", b"\xff",
+    b"\xef\xbf\xbe", b"\xef\xbf\xbf", b"\xc2\xa0",
+]
 
 
 @st.composite
@@ -103,8 +123,7 @@ def _arrays(draw, children):
 
 @st.composite
 def _objects(draw, children):
-    keys = st.one_of(_TEXT.map(json.dumps), _ESCAPES)
-    pairs = draw(st.lists(st.tuples(keys, children), max_size=4))
+    pairs = draw(st.lists(st.tuples(_STRINGS, children), max_size=4))
     sep = draw(_SEPARATORS)
     # keys may repeat: the last value wins, in the place of the first
     return "{" + sep.join(f"{key}: {value}" for key, value in pairs) + "}"
@@ -119,70 +138,37 @@ def _documents(leaves):
 
 
 @st.composite
-def json_texts(draw):
-    """JSON texts, about a third of them damaged by one edit.
+def json_documents(draw):
+    """UTF-8 bytes of JSON texts, about a third of them damaged by one edit.
 
-    Half are made of leaves that orjson parses; the others hold any leaf.
+    Half are made of leaves that orjson accepts; the others hold any leaf.
+    An edit inserts, deletes or truncates at a byte, so it may also cut a
+    multi-byte character or insert one of ``_UTF8_EDGES``.
     """
     text = draw(st.one_of(_documents(_PLAIN_LEAVES), _documents(_LEAVES)))
+    data = text.encode()
     edit = draw(st.sampled_from([None, None, "insert", "delete", "truncate"]))
-    if edit is not None and text:
-        i = draw(st.integers(0, len(text) - 1))
+    if edit is not None:
+        i = draw(st.integers(0, len(data) - 1))
         if edit == "insert":
-            char = draw(st.sampled_from(list(',]}"\\-.e0 N\x00\ufeff')))
-            text = text[:i] + char + text[i:]
+            inserts = [c.encode() for c in ',]}"\\-.e0 N\x00\ufeff'] + _UTF8_EDGES
+            data = data[:i] + draw(st.sampled_from(inserts)) + data[i:]
         elif edit == "delete":
-            text = text[:i] + text[i + 1:]
+            data = data[:i] + data[i + 1:]
         else:
-            text = text[:i]
-    return draw(st.sampled_from(["", "", "", " ", "\ufeff"])) + text
+            data = data[:i]
+    return draw(st.sampled_from([b"", b"", b"", b" ", b"\xef\xbb\xbf", b"\xc2\xa0"])) + data
 
 
 @settings(max_examples=400, deadline=None)
-@given(json_texts())
-def test_parse_matches_json_loads(text):
-    expected, expected_error = outcome(json.loads, text)
-    got, error = outcome(parse, text)
-    assert error == expected_error
-    assert same(got, expected)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"[1234567890123456789]",
-        b"[-1234567890123456789]",
-        b"1234567890123456789",
-        b'{"n":1234567890123456789}',
-        b'{"n": 1234567890123456789}',
-        b"[0,\n1234567890123456789]",
-        b"[1234567890123456789.5]",
-        b"[1e-0000000000000000001]",
-        b"[" * 65 + b"]" * 65,
-        b'{"a": ' * 65 + b"1" + b"}" * 65,
-        '["é"]'.encode(),
-        b"\xef\xbb\xbf{}",
-    ],
-)
-def test_routed_to_json_loads(data):
-    assert not io._orjson_agrees(data)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"",
-        b"[123456789012345678]",
-        b"[0.1234567890123456789012]",
-        b"[1.5e+0000000000000000001]",
-        b'["1234567890123456789"]',
-        b"[" * 64 + b"]" * 64,
-        b'[["[[[[[[", "\\\\"], "\\"[[[["]' + b"[" * 62 + b"]" * 62,
-        b'{"\\u00e9": [NaN, Infinity]}',
-    ],
-)
-def test_routed_to_orjson(data):
-    assert io._orjson_agrees(data)
+@given(json_documents())
+def test_parse_matches_json_loads(data):
+    try:
+        got = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return  # the loaders parse such a file again with json.loads
+    # orjson accepted it, so it must be UTF-8, and JSON to json.loads
+    assert same(got, json.loads(data.decode("utf-8")))
 
 
 FAMILY = '{"ambient_dim": %s, "subspaces": [{"name": %s, "vectors": [[%s, 0.5]]}]}'
@@ -216,6 +202,11 @@ MATRIX_CORPUS = {
 }
 
 
+def refuse_orjson(data):
+    """orjson refusing every file: the loaders then take the json.loads route."""
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
 def load_outcome(loader, path):
     """The loaded family or matrix as plain values, or the error; and the warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -239,8 +230,115 @@ def test_edge_corpus_loads_as_through_json_loads(tmp_path, monkeypatch, loader, 
     path = tmp_path / "edge.json"
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     got = load_outcome(loader, path)
-    monkeypatch.setattr(io, "_orjson_agrees", lambda data: False)
+    monkeypatch.setattr(io.orjson, "loads", refuse_orjson)
     assert got == load_outcome(loader, path)
+
+
+_PLAIN_ENTRIES = st.one_of(
+    st.floats(0.0, 2.0).map(json.dumps),
+    st.sampled_from(["0.0", "-0.0", "1", "0.5", "5e-324", "2.2250738585072014e-308"]),
+)
+# entries that orjson refuses, that the loaders leave to json.loads (1e300,
+# integers of magnitude 2**63 or more, which orjson reads as floats from
+# 2**64 on), or that are not numbers
+_ODD_ENTRIES = st.sampled_from(
+    ["1e300", "NaN", "-Infinity", "1e400",
+     *map(str, [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 10**20]),
+     "true", "null", '"1"']
+)
+_ODD_SIZES = st.sampled_from(["2.0", "0", str(2**63), str(2**64), str(10**20), "true", '"2"'])
+_PLAIN_NAMES = st.one_of(
+    st.sampled_from(['"A"', '"\\u00e9\\"\\\\"', '"\\ud83d\\ude00"']),
+    st.builds(json.dumps, _TEXT, ensure_ascii=st.just(False)),
+)
+_DEEP_2000 = "[" * 2000 + "]" * 2000
+_ODD_NAMES = st.sampled_from(
+    ['"\\ud800"', "7", "1e300", str(2**64), str(-(2**63) - 1), str(10**20), "true", "[1]", _DEEP_2000]
+)
+# values under keys that the loaders do not read
+_EXTRAS = st.sampled_from(['"x"', str(2**64), _DEEP_2000])
+
+
+def _json_text(value):
+    """``value`` as JSON text; strings in it are already JSON texts."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    return value
+
+
+def _shuffled(draw, obj):
+    return dict(draw(st.permutations(list(obj.items()))))
+
+
+@st.composite
+def family_files(draw):
+    """``load_family`` and the text of a family file, about half with one odd part.
+
+    The odd part is an entry, a row's length, a name, ``ambient_dim``, or
+    a key that the loader does not read, in the family or in a member.
+    Keys come in any order.
+    """
+    d = draw(st.integers(1, 3))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = st.lists(st.lists(_PLAIN_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=2)
+        name = draw(st.one_of(st.none(), _PLAIN_NAMES))
+        members.append({"vectors": draw(rows)} | ({} if name is None else {"name": name}))
+    family = {"ambient_dim": str(d), "subspaces": members}
+    member = draw(st.sampled_from(members))
+    row = draw(st.sampled_from(member["vectors"]))
+    odd = draw(
+        st.sampled_from([None] * 7 + ["entry"] * 3 + ["row", "name", "size", "key", "member-key"])
+    )
+    if odd == "entry":
+        row[draw(st.integers(0, d - 1))] = draw(_ODD_ENTRIES)
+    elif odd == "row":
+        row.append(draw(_PLAIN_ENTRIES))
+    elif odd == "name":
+        member["name"] = draw(_ODD_NAMES)
+    elif odd == "size":
+        family["ambient_dim"] = draw(_ODD_SIZES)
+    elif odd == "key":
+        family["x"] = draw(_EXTRAS)
+    elif odd == "member-key":
+        member["note"] = draw(_EXTRAS)
+    family["subspaces"] = [_shuffled(draw, m) for m in members]
+    return io.load_family, _json_text(_shuffled(draw, family))
+
+
+@st.composite
+def matrix_files(draw):
+    """``load_ematrix`` and the text of a symmetric matrix file, about half
+    with one odd part: a pair of entries, ``n`` or an extra key."""
+    n = draw(st.integers(1, 3))
+    rows = [["0.0"] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        rows[i][j] = rows[j][i] = draw(_PLAIN_ENTRIES)
+    matrix = {"n": str(n), "entries": rows}
+    odd = draw(st.sampled_from([None] * 4 + ["entry"] * 2 + ["size", "key"]))
+    if odd == "entry" and pairs:
+        i, j = draw(st.sampled_from(pairs))
+        rows[i][j] = rows[j][i] = draw(_ODD_ENTRIES)
+    elif odd == "size":
+        matrix["n"] = draw(_ODD_SIZES)
+    elif odd == "key":
+        matrix["x"] = draw(_EXTRAS)
+    return io.load_ematrix, _json_text(_shuffled(draw, matrix))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(family_files(), matrix_files()))
+def test_generated_files_load_as_through_json_loads(case):
+    loader, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(text.encode())
+        got = load_outcome(loader, path)
+        with mock.patch.object(io.orjson, "loads", refuse_orjson):
+            assert got == load_outcome(loader, path)
 
 
 @pytest.mark.parametrize(
@@ -285,10 +383,20 @@ class TestRouting:
         family, names = io.load_family(path)
         assert names == ["A"] and family.members[0].dim == 1
 
-    @pytest.mark.parametrize("x", ["NaN", "12345678901234567890"])
-    def test_fallback_reaches_json_loads(self, tmp_path, json_loads_calls, x):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FAMILY % ("2", '"A"', "NaN"),
+            FAMILY % ("2", '"A"', "12345678901234567890"),
+            FAMILY % ("2", '"A"', "1e300"),
+            FAMILY[:-1] % ("2", '"A"', "1.0") + ', "note": "x"}',
+            FAMILY % ("2", "7", "1.0"),
+        ],
+        ids=["NaN", "12345678901234567890", "1e300-entry", "extra-key", "numeric-name"],
+    )
+    def test_fallback_reaches_json_loads(self, tmp_path, json_loads_calls, text):
         path = tmp_path / "fallback.json"
-        path.write_text(FAMILY % ("2", '"A"', x))
+        path.write_text(text)
         outcome(io.load_family, path)
         assert json_loads_calls == [path.read_text()]
 
@@ -297,3 +405,17 @@ class TestRouting:
         path.write_text(MATRIX % ("2", "0.5", "0.5"))
         assert io.load_ematrix(path).n == 2
         assert json_loads_calls == []
+
+    def test_written_counterexample_needs_no_json_loads(self, tmp_path, monkeypatch):
+        ring = [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]]
+        family = build_counterexample(CounterexampleSpec(EMatrix(4, ring), geometric_alphas(20)))
+        path = tmp_path / "family.json"
+        io.save_family(path, family)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        loaded, names = io.load_family(path)
+        assert names == ["X1", "X2", "X3", "X4"]
+        assert [m.dim for m in loaded.members] == [20] * 4
