@@ -160,15 +160,52 @@ def json_documents(draw):
     return draw(st.sampled_from([b"", b"", b"", b" ", b"\xef\xbb\xbf", b"\xc2\xa0"])) + data
 
 
-@settings(max_examples=400, deadline=None)
-@given(json_documents())
-def test_parse_matches_json_loads(data):
+def parses_alike(data):
+    """Whether orjson refuses ``data`` or reads it as ``json.loads`` does."""
     try:
         got = orjson.loads(data)
     except orjson.JSONDecodeError:
-        return  # the loaders parse such a file again with json.loads
+        return True  # the loaders parse such a file again with json.loads
     # orjson accepted it, so it must be UTF-8, and JSON to json.loads
-    assert same(got, json.loads(data.decode("utf-8")))
+    return same(got, json.loads(data.decode("utf-8")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_documents())
+def test_parse_matches_json_loads(data):
+    assert parses_alike(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"1234567890123456789",
+        b"[1234567890123456789]",
+        b"[-1234567890123456789]",
+        b"[123456789012345678]",
+        b'{"n":1234567890123456789}',
+        b'{"n": 1234567890123456789}',
+        b"[0,\n1234567890123456789]",
+        b"[1234567890123456789.5]",
+        b"[0.1234567890123456789012]",
+        b"[1e-0000000000000000001]",
+        b"[1.5e+0000000000000000001]",
+        b'["1234567890123456789"]',
+        b"[" * 64 + b"]" * 64,
+        b"[" * 65 + b"]" * 65,
+        b'{"a": ' * 65 + b"1" + b"}" * 65,
+        b'[["[[[[[[", "\\\\"], "\\"[[[["]' + b"[" * 62 + b"]" * 62,
+        '["é"]'.encode(),
+        b'{"\\u00e9": [NaN, Infinity]}',
+        b"\xef\xbb\xbf{}",
+    ],
+)
+def test_boundary_texts_parse_alike(data):
+    # 19-digit literals, long exponents and fractions, digits in strings,
+    # nesting about 64 deep, brackets in strings, non-ASCII text, NaN and a
+    # byte order mark
+    assert parses_alike(data)
 
 
 FAMILY = '{"ambient_dim": %s, "subspaces": [{"name": %s, "vectors": [[%s, 0.5]]}]}'
