@@ -14,12 +14,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_subspace
+from oracles import encoded_rows
 from sumspaces import (
     CounterexampleSpec,
     EMatrix,
@@ -307,11 +309,6 @@ def ring_matrix(n, cosine=0.5):
     return entries
 
 
-def encoded_rows(a):
-    """The encoder's text of each row of the 2-D array ``a``."""
-    return [json.dumps(row) for row in a.tolist()]
-
-
 # A small pool of values, so neighbours are often equal: signed zeros, two
 # NaN payloads, infinities and two finite values.
 _RUN_VALUES = np.concatenate(
@@ -435,22 +432,59 @@ class TestArrayWriter:
     def test_ring_family_formats_each_distinct_value_once(self, monkeypatch, tmp_path):
         spec = CounterexampleSpec(EMatrix(16, ring_matrix(16)), geometric_alphas(40))
         family = build_counterexample(spec)
-        formatted = []
+        by_orjson, by_json = [], []
 
-        def dumps(value, *args, **kwargs):
-            if isinstance(value, list):
-                formatted.extend(value)
-            return json.dumps(value, *args, **kwargs)
+        def spy(dumps, formatted):
+            def spied(value, *args, **kwargs):
+                if isinstance(value, list):
+                    formatted.extend(value)
+                return dumps(value, *args, **kwargs)
+            return spied
 
-        monkeypatch.setattr(io, "json", SimpleNamespace(dumps=dumps, loads=json.loads))
+        monkeypatch.setattr(io.orjson, "dumps", spy(orjson.dumps, by_orjson))
+        monkeypatch.setattr(io.json, "dumps", spy(json.dumps, by_json))
         io.save_family(tmp_path / "ring.json", family)
-        # 11,488 runs of equal entries, whose first entries hold 8,471 values
-        assert len(formatted) == 8471
-        assert len(set(np.array(formatted).view(np.int64).tolist())) == 8471
         monkeypatch.undo()
+        # 11,488 runs of equal entries, whose first entries hold 8,471 values
+        assert len(by_orjson) == 8471
+        assert len(set(np.array(by_orjson).view(np.int64).tolist())) == 8471
+        # json.dumps formats again just those whose repr has an exponent:
+        # the 150 below 1e-4
+        exponents = [x for x in by_orjson if not math.isfinite(x) or "e" in repr(x)]
+        assert len(exponents) == 150
+        assert np.array(by_json).view(np.int64).tolist() == (
+            np.array(exponents).view(np.int64).tolist()
+        )
         loaded, _ = io.load_family(tmp_path / "ring.json")
         for orig, back in zip(family.members, loaded.members):
             assert np.array_equal(back.basis, orig.basis)
+
+    def test_no_arrays_format_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("formatted a value")
+
+        monkeypatch.setattr(io, "orjson", SimpleNamespace(dumps=refuse))
+        assert list(io._row_texts()) == []
+        out = StringIO()
+        report = {"criterion": {"spectral_radius": 0.5, "leading_minors": [1.0, 0.75]}, "ok": True}
+        io._write_json(out, report)
+        assert out.getvalue() == (
+            '{\n  "criterion": {\n    "spectral_radius": 0.5,\n'
+            '    "leading_minors": [1.0, 0.75]\n  },\n  "ok": true\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "a, text",
+        [
+            (np.zeros((2, 0)), "[\n  [],\n  []\n]\n"),
+            (np.zeros((0, 3)), "[]\n"),
+        ],
+        ids=["empty-rows", "no-rows"],
+    )
+    def test_arrays_without_values(self, a, text):
+        out = StringIO()
+        io._write_json(out, a)
+        assert out.getvalue() == text
 
     @pytest.mark.parametrize(
         "a", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=np.float32)]
