@@ -7,18 +7,13 @@ per spanning-set shape (one stacked Gram test and one stacked SVD), so a
 family of 300 lines takes one SVD, not 300, and the members are views of
 one checked stack per basis shape.  An input file is read once: the
 report's digest is the one the loader took of the bytes it read, and
-``report_metadata`` reads nothing.  Input files are read as UTF-8 and
-parsed by orjson, about six times as fast as ``json.loads``, and the
-loader validates orjson's document with three more checks: every number
-it reads is below 2**63 in magnitude, every member name is a string, and
-no key is present that the loader does not read.  A document that passes
-them is the one ``json.loads`` would give: the two parsers differ only
-on integer literals outside 64 bits, which orjson reads as floats of
-magnitude 2**63 or more, and on nesting deep enough that ``json.loads``
-raises ``RecursionError``.  A file that orjson rejects (``NaN``,
-``Infinity``, ``1e400``, a lone surrogate escape, a BOM), or whose
-document fails any check, is parsed again by ``json.loads``, whose
-document gives every value, warning and error.  Floats are
+``report_metadata`` reads nothing.  Input files are read as bytes, which
+orjson parses as UTF-8 whatever the locale, about six times as fast as
+the standard library's parser.  Only JSON (RFC 8259) is accepted:
+``NaN``, ``Infinity``, a number too large for a double (``1e400``), a
+lone surrogate escape and a byte order mark are not valid JSON, and the
+error gives orjson's message with its line and column.  Integer literals
+outside ``[-2**63, 2**64)`` are read as the nearest double.  Floats are
 written with Python's shortest round-trip representation, which is
 lossless at double precision, so writing a family and re-reading it
 reproduces identical numbers.  Every JSON output goes through one writer
@@ -58,10 +53,6 @@ from .subspaces import SubspaceFamily, orthonormalize_all
 
 # JSON containers; a container holding none of these is written on one line.
 _CONTAINERS = (dict, list, tuple, np.ndarray)
-# The keys the loaders read; orjson's document may hold no others.
-_FAMILY_KEYS = {"ambient_dim", "subspaces"}
-_MEMBER_KEYS = {"name", "vectors"}
-_MATRIX_KEYS = {"n", "entries"}
 
 # The path a loader read last and the SHA-256 of the bytes read (None when
 # it was not a regular file); report_metadata takes the digest from here.
@@ -79,19 +70,19 @@ def load_family(path):
     before it are orthonormalized and warned about before the error is
     raised, so the warnings come first, as they would one entry at a time.
     """
-    d, arrays, names, error = _read_object(path, "family", _FAMILY_KEYS, _family_arrays)
+    d, arrays, names, error = _read_object(path, "family", _family_arrays)
     members = _orthonormalized(arrays, names)
     if error is not None:
         raise error
     return SubspaceFamily(d, tuple(members)), names
 
 
-def _family_arrays(doc, may_hold_bools, limit):
+def _family_arrays(doc, may_hold_bools):
     """The family document's dimension, vector arrays, names and first invalid entry.
 
     The entries are validated in order up to the first invalid one, whose
-    ValueError is returned with the arrays and names before it; on
-    orjson's document (``limit`` below inf) it is raised.  Each entry's
+    ValueError is returned with the arrays and names before it, so that
+    ``load_family`` warns about those before it raises.  Each entry's
     lists are freed once converted, so the document shrinks as the arrays
     grow.
     """
@@ -104,10 +95,8 @@ def _family_arrays(doc, may_hold_bools, limit):
     arrays, names = [], []
     for idx, entry in enumerate(entries):
         try:
-            name, arr = _member_vectors(idx, entry, d, may_hold_bools, limit)
+            name, arr = _member_vectors(idx, entry, d, may_hold_bools)
         except ValueError as exc:
-            if limit < np.inf:
-                raise
             return d, arrays, names, exc
         entries[idx] = None  # free the member's lists
         arrays.append(arr)
@@ -115,26 +104,28 @@ def _family_arrays(doc, may_hold_bools, limit):
     return d, arrays, names, None
 
 
-def _member_vectors(idx, entry, d, may_hold_bools, limit):
+def _member_vectors(idx, entry, d, may_hold_bools):
     """The name and the (m, d) vector array of family entry ``idx``.
 
-    Every entry must be below ``limit`` in magnitude: inf, so finite, on
-    ``json.loads``'s document, and 2**63 on orjson's, whose entries must
-    also have a string name, if any, and no key but the two read.
+    A name that is not a string is taken as ``str`` gives it.  orjson
+    parses nesting of any depth, but ``str`` of a list nested about a
+    thousand deep raises RecursionError, which makes the entry invalid.
+    Entries that are not finite are rejected, though orjson gives none:
+    the check is on input from outside the program.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"subspace entry {idx} must be a JSON object")
-    name = entry.get("name", f"X{idx + 1}")
-    if limit < np.inf and (type(name) is not str or not entry.keys() <= _MEMBER_KEYS):
-        raise ValueError(f"subspace entry {idx} is left to json.loads")
-    name = str(name)
+    try:
+        name = str(entry.get("name", f"X{idx + 1}"))
+    except RecursionError:
+        raise ValueError(f"subspace entry {idx}: name is nested too deeply") from None
     vectors = entry.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"subspace {name!r} needs at least one vector")
     arr = _number_array(vectors, f"subspace {name!r}: vectors", may_hold_bools)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError(f"subspace {name!r}: vectors must all have length {d}")
-    if not (np.abs(arr) < limit).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"subspace {name!r}: vectors must be finite")
     return name, arr
 
@@ -183,21 +174,14 @@ def save_family(path, family: SubspaceFamily, names=None):
 
 def load_ematrix(path) -> EMatrix:
     """Read an angle-cosine matrix file {"n": int, "entries": [[...]]}."""
-    return _read_object(path, "matrix", _MATRIX_KEYS, _matrix)
+    return _read_object(path, "matrix", _matrix)
 
 
-def _matrix(doc, may_hold_bools, limit):
-    """The matrix document's EMatrix; its entries must be below ``limit`` in magnitude.
-
-    ``EMatrix`` rejects entries that are not finite, so the bound matters
-    only on orjson's document, where it is 2**63.
-    """
+def _matrix(doc, may_hold_bools):
+    """The matrix document's EMatrix, which checks its entries."""
     n = _integer_field(doc, "n", "matrix")
     entries = _number_array(doc.get("entries"), "matrix file: entries", may_hold_bools)
-    matrix = EMatrix(n, entries)
-    if not (np.abs(entries) < limit).all():
-        raise ValueError("matrix file: entries are left to json.loads")
-    return matrix
+    return EMatrix(n, entries)
 
 
 def save_ematrix(path, e: EMatrix):
@@ -308,20 +292,18 @@ def write_convergence_csv(path, report: ConvergenceReport):
             fh.write(f"{s.N},{s.error!r},{s.bound!r}\n")
 
 
-def _read_object(path, kind, keys, validate):
-    """What ``validate(doc, may_hold_bools, limit)`` makes of a JSON object file.
+def _read_object(path, kind, validate):
+    """What ``validate(doc, may_hold_bools)`` makes of a JSON object file.
 
     The file is read once, as bytes; the path is kept for
     ``report_metadata`` with their SHA-256 when it is a regular file, and
     with None otherwise.  ``may_hold_bools`` tells whether the bytes hold
     ``true`` or ``false`` anywhere, strings included: a file without
     either holds no boolean, which spares ``_number_array`` a scan of
-    every entry.  orjson parses the bytes first, and its document is
-    validated with ``limit = 2**63`` when it is an object holding no key
-    but ``keys``.  When orjson rejects the bytes, or the document fails
-    any check (a ValueError raised before any warning), the bytes are
-    decoded as UTF-8, whatever the locale, and ``json.loads``'s document
-    is validated with ``limit = inf``.
+    every entry.  orjson parses the bytes as UTF-8, whatever the locale;
+    bytes it refuses raise "<kind> file is not valid JSON: <orjson's
+    message>", and a document that is not an object "<kind> file must be
+    a JSON object".
     """
     global _last_read
     with open(path, "rb") as fh:
@@ -332,21 +314,11 @@ def _read_object(path, kind, keys, validate):
     may_hold_bools = _holds_boolean_literal(data)
     try:
         doc = orjson.loads(data)
-        if isinstance(doc, dict) and doc.keys() <= keys:
-            return validate(doc, may_hold_bools, 2**63)
-    except ValueError:  # orjson.JSONDecodeError included
-        pass
-    doc = None  # free orjson's document before json.loads builds its own
-    text = data.decode("utf-8")
-    del data
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{kind} file is nested too deeply") from None
-    del text
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
-    return validate(doc, may_hold_bools, np.inf)
+    return validate(doc, may_hold_bools)
 
 
 def _holds_boolean_literal(data):
@@ -378,11 +350,10 @@ def _integer_field(doc, key, kind):
 def _number_array(value, what, may_hold_bools):
     """``value`` as a float array; every entry must be a JSON number.
 
-    Parsed without a dtype, strings, booleans alone, null and integers too
-    large for a machine word give a non-numeric array, which is rejected.
-    Booleans mixed with numbers are coerced to numbers, so when the file
-    text may hold a boolean (see ``_read_object``) the entries' types are
-    checked one by one.
+    Parsed without a dtype, strings, booleans alone and null give a
+    non-numeric array, which is rejected.  Booleans mixed with numbers are
+    coerced to numbers, so when the file text may hold a boolean (see
+    ``_read_object``) the entries' types are checked one by one.
     """
     try:
         arr = np.asarray(value)

@@ -172,8 +172,9 @@ class TestFamilyFiles:
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[1, false]]}]}',
             '{"ambient_dim": 2, "subspaces": [{"vectors": [[null, 1.0]]}]}',
             pytest.param(
-                '{"ambient_dim": 2, "subspaces": [{"vectors": [[1%s, 0]]}]}' % ("0" * 20),
-                id="integer-overflows-machine-word",
+                '{"ambient_dim": 1, "subspaces": [{"name": %s, "vectors": [[1.0]]}]}'
+                % ("[" * 2000 + "]" * 2000),
+                id="name-nested-2000-deep",
             ),
         ],
     )
@@ -182,6 +183,13 @@ class TestFamilyFiles:
         path.write_text(doc)
         with pytest.raises(ValueError):
             io.load_family(path)
+
+    def test_integers_beyond_a_machine_word_load_as_nearest_doubles(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"ambient_dim": 2, "subspaces": [{"vectors": [[1%s, 1]]}]}' % ("0" * 20))
+        plain = write_family_file(tmp_path / "plain.json", {"X1": [[1e20, 1.0]]}, 2)
+        (family, _), (expected, _) = io.load_family(path), io.load_family(plain)
+        np.testing.assert_array_equal(family.members[0].basis, expected.members[0].basis)
 
     @pytest.mark.parametrize("name", ["true", "untrue", "false", "no false start"])
     def test_names_holding_boolean_words_load(self, tmp_path, name):
@@ -195,13 +203,19 @@ class TestFamilyFiles:
             np.testing.assert_array_equal(member.basis, expected.basis)
 
     def test_non_finite_vectors_name_the_subspace(self, tmp_path):
+        # -Infinity is not JSON, so the file is rejected before its members
         path = tmp_path / "bad.json"
         path.write_text(
             '{"ambient_dim": 2, "subspaces": [{"name": "A", "vectors": [[1.0, 0.0]]},'
             ' {"name": "B", "vectors": [[-Infinity, 1.0]]}]}'
         )
-        with pytest.raises(ValueError, match="subspace 'B': vectors must be finite"):
+        message = r"^family file is not valid JSON: .*\bline 1 column 101\b"
+        with pytest.raises(ValueError, match=message):
             io.load_family(path)
+        # a document that holds one all the same names the member
+        doc = {"ambient_dim": 2, "subspaces": [{"name": "B", "vectors": [[-np.inf, 1.0]]}]}
+        error = io._family_arrays(doc, False)[3]
+        assert str(error) == "subspace 'B': vectors must be finite"
 
     def test_all_zero_vectors_name_the_subspace(self, tmp_path):
         path = write_family_file(
@@ -290,7 +304,6 @@ class TestEMatrixFiles:
             '{"n": 2, "entries": [[0.0, true], [1, 0.0]]}',
             '{"n": 2, "entries": [[0, false], [0, 0]]}',
             '{"n": 2, "entries": [[0.0, null], [null, 0.0]]}',
-            '{"n": 2, "entries": [[0, 1%s], [1%s, 0]]}' % ("0" * 20, "0" * 20),
             '{"n": 1}',
         ],
     )
@@ -299,6 +312,11 @@ class TestEMatrixFiles:
         path.write_text(doc)
         with pytest.raises(ValueError, match="matrix file"):
             io.load_ematrix(path)
+
+    def test_integers_beyond_a_machine_word_load_as_nearest_doubles(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": 2, "entries": [[0, 1%s], [1%s, 0]]}' % ("0" * 20, "0" * 20))
+        np.testing.assert_array_equal(io.load_ematrix(path).entries, [[0.0, 1e20], [1e20, 0.0]])
 
 
 def ring_matrix(n, cosine=0.5):
@@ -946,8 +964,9 @@ class TestCounterexampleCommand:
         out = tmp_path / "family.json"
         code = main(["counterexample", str(epath), "--blocks", "2", "--out", str(out)])
         assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: entries must be finite\n"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"error: matrix file is not valid JSON: .*\bline 1 column 28\b", lines[0])
         assert not out.exists()
 
     def test_invalid_matrix_file(self, tmp_path):
@@ -1097,9 +1116,9 @@ class TestRunAsProgram:
         "vector, code, stderr",
         [
             ("[1.0, 0.0]", 0, r""),
-            ("[NaN, 0.0]", 1, r"error: subspace '.+': vectors must be finite\n"),
+            ('["x", 0.0]', 1, r"error: subspace '.+': vectors must be JSON numbers\n"),
         ],
-        ids=["plain", "json.loads-route"],
+        ids=["plain", "member-error"],
     )
     def test_non_ascii_name_loads_in_the_c_locale(self, tmp_path, vector, code, stderr):
         # input files are UTF-8 whatever the locale
@@ -1285,18 +1304,18 @@ class TestCommandBoundary:
     def test_notice_comes_before_error(self, tmp_path, capsys):
         path = write_family_file(
             tmp_path / "mixed.json",
-            {"X1": [[1.0, 0.0], [2.0, 0.0]], "X2": [[float("nan"), 1.0]]},
+            {"X1": [[1.0, 0.0], [2.0, 0.0]], "X2": [["x", 1.0]]},
             2,
         )
         assert main(["project", str(path), "--n-max", "3"]) == 1
         lines = stderr_lines(capsys.readouterr())
         assert [line.split(":")[0] for line in lines] == ["notice", "error"]
-        assert lines[1] == "error: subspace 'X2': vectors must be finite"
+        assert lines[1] == "error: subspace 'X2': vectors must be JSON numbers"
 
     @pytest.mark.parametrize(
         "x3, error",
         [
-            ([[float("nan"), 0.0, 0.0]], "error: subspace 'X3': vectors must be finite"),
+            ([[0.0, 1.0]], "error: subspace 'X3': vectors must all have length 3"),
             (
                 [[0.0, 0.0, 0.0]],
                 "error: subspace 'X3': all columns of the spanning set are "
@@ -1434,8 +1453,103 @@ def family_documents(draw):
     return json.dumps({"ambient_dim": draw(ambient), "subspaces": draw(subspaces)})
 
 
+_PLAIN_ENTRIES = st.one_of(
+    st.floats(0.0, 2.0).map(json.dumps),
+    st.sampled_from(["0.0", "-0.0", "1", "0.5", "5e-324", "2.2250738585072014e-308"]),
+)
+# entries that are not JSON, that are huge or integers about 2**63 and 2**64
+# (which load as the nearest double from 2**64 on), or that are not numbers
+_ODD_ENTRIES = st.sampled_from(
+    ["1e300", "NaN", "-Infinity", "1e400",
+     *map(str, [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 10**20]),
+     "true", "null", '"1"']
+)
+_ODD_SIZES = st.sampled_from(["2.0", "0", str(2**63), str(2**64), str(10**20), "true", '"2"'])
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_PLAIN_NAMES = st.one_of(
+    st.sampled_from(['"A"', '"\\u00e9\\"\\\\"', '"\\ud83d\\ude00"']),
+    st.builds(json.dumps, _TEXT, ensure_ascii=st.just(False)),
+)
+_DEEP_2000 = "[" * 2000 + "]" * 2000
+_ODD_NAMES = st.sampled_from(
+    ['"\\ud800"', "7", "1e300", str(2**64), str(-(2**63) - 1), str(10**20), "true", "[1]", _DEEP_2000]
+)
+# values under keys that the loaders do not read
+_EXTRAS = st.sampled_from(['"x"', str(2**64), _DEEP_2000])
+
+
+def _json_text(value):
+    """``value`` as JSON text; strings in it are already JSON texts."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    return value
+
+
+def _shuffled(draw, obj):
+    return dict(draw(st.permutations(list(obj.items()))))
+
+
+@st.composite
+def family_files(draw):
+    """The text of a family file, about half with one odd part.
+
+    The odd part is an entry, a row's length, a name, ``ambient_dim``, or
+    a key that the loader does not read, in the family or in a member.
+    Keys come in any order.
+    """
+    d = draw(st.integers(1, 3))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = st.lists(st.lists(_PLAIN_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=2)
+        name = draw(st.one_of(st.none(), _PLAIN_NAMES))
+        members.append({"vectors": draw(rows)} | ({} if name is None else {"name": name}))
+    family = {"ambient_dim": str(d), "subspaces": members}
+    member = draw(st.sampled_from(members))
+    row = draw(st.sampled_from(member["vectors"]))
+    odd = draw(
+        st.sampled_from([None] * 7 + ["entry"] * 3 + ["row", "name", "size", "key", "member-key"])
+    )
+    if odd == "entry":
+        row[draw(st.integers(0, d - 1))] = draw(_ODD_ENTRIES)
+    elif odd == "row":
+        row.append(draw(_PLAIN_ENTRIES))
+    elif odd == "name":
+        member["name"] = draw(_ODD_NAMES)
+    elif odd == "size":
+        family["ambient_dim"] = draw(_ODD_SIZES)
+    elif odd == "key":
+        family["x"] = draw(_EXTRAS)
+    elif odd == "member-key":
+        member["note"] = draw(_EXTRAS)
+    family["subspaces"] = [_shuffled(draw, m) for m in members]
+    return _json_text(_shuffled(draw, family))
+
+
+@st.composite
+def matrix_files(draw):
+    """The text of a symmetric matrix file, about half with one odd part:
+    a pair of entries, ``n`` or an extra key."""
+    n = draw(st.integers(1, 3))
+    rows = [["0.0"] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        rows[i][j] = rows[j][i] = draw(_PLAIN_ENTRIES)
+    matrix = {"n": str(n), "entries": rows}
+    odd = draw(st.sampled_from([None] * 4 + ["entry"] * 2 + ["size", "key"]))
+    if odd == "entry" and pairs:
+        i, j = draw(st.sampled_from(pairs))
+        rows[i][j] = rows[j][i] = draw(_ODD_ENTRIES)
+    elif odd == "size":
+        matrix["n"] = draw(_ODD_SIZES)
+    elif odd == "key":
+        matrix["x"] = draw(_EXTRAS)
+    return _json_text(_shuffled(draw, matrix))
+
+
 @settings(max_examples=100, deadline=None)
-@given(family_documents())
+@given(st.one_of(family_documents(), family_files()))
 def test_cli_contract_on_generated_documents(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "family.json"
@@ -1493,7 +1607,12 @@ def counterexample_arguments(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(counterexample_arguments())
+@given(
+    st.one_of(
+        counterexample_arguments(),
+        matrix_files().map(lambda text: (text, ["--blocks", "2"], True)),
+    )
+)
 def test_counterexample_cli_contract_on_generated_documents(arguments):
     text, options, damaged = arguments
     with tempfile.TemporaryDirectory() as tmp:
