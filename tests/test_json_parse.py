@@ -6,7 +6,8 @@ it, to the type and the bit, but for integer literals outside 64 bits,
 which it reads as floats of magnitude 2**63 or more.  orjson must refuse
 the texts that are not JSON (RFC 8259): ``NaN``, ``Infinity``, ``1e400``,
 a lone surrogate escape and a byte order mark.  Each file of an edge
-corpus is pinned to the value it loads to or the error it gives.
+corpus is pinned to the value it loads to or the error it gives, and
+each file is parsed once, by orjson, with no second ``json.loads`` parse.
 """
 
 import json
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from sumspaces import io
 from sumspaces.cli import main
+from sumspaces.counterexamples import CounterexampleSpec, build_counterexample, geometric_alphas
+from sumspaces.criterion import EMatrix
 
 
 def same(got, expected):
@@ -248,8 +251,6 @@ MATRIX_CORPUS = {
 }
 
 
-
-
 def not_json(kind, column):
     """The start of the error for a file orjson refuses at line 1, ``column``.
 
@@ -358,3 +359,68 @@ def test_edge_corpus_outcomes(tmp_path, capsys, loader, text, expected):
     assert (code, len(lines)) in {(0, 0), (0, 1), (1, 1)}, lines
     if error is not None:
         assert code == 1 and lines == [f"error: {error[1]}"]
+
+
+class TestOneParse:
+    """Each file is parsed once, by orjson, and never by ``json.loads``."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        loads = orjson.loads
+
+        def spy(data):
+            calls.append(data)
+            return loads(data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(io.orjson, "loads", spy)
+        monkeypatch.setattr(json, "loads", refuse)
+        return calls
+
+    def test_plain_family(self, tmp_path, parses):
+        path = tmp_path / "plain.json"
+        path.write_text(FAMILY % ("2", '"A"', "1.0"))
+        family, names = io.load_family(path)
+        assert names == ["A"] and family.members[0].dim == 1
+        assert parses == [path.read_bytes()]
+
+    # texts that the loaders once parsed a second time, with json.loads
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (FAMILY % ("2", '"A"', "NaN"), "family file is not valid JSON"),
+            (FAMILY % ("2", '"A"', "12345678901234567890"), None),
+            (FAMILY % ("2", '"A"', "1e300"), None),
+            (FAMILY[:-1] % ("2", '"A"', "1.0") + ', "note": "x"}', None),
+            (FAMILY % ("2", "7", "1.0"), None),
+        ],
+        ids=["NaN", "12345678901234567890", "1e300-entry", "extra-key", "numeric-name"],
+    )
+    def test_former_fallback_texts(self, tmp_path, parses, text, error):
+        path = tmp_path / "once.json"
+        path.write_text(text)
+        result, raised = outcome(io.load_family, path)
+        if error is None:
+            assert raised is None and len(result[0].members) == 1
+        else:
+            assert result is None and raised[1].startswith(error)
+        assert parses == [path.read_bytes()]
+
+    def test_plain_matrix(self, tmp_path, parses):
+        path = tmp_path / "e.json"
+        path.write_text(MATRIX % ("2", "0.5", "0.5"))
+        assert io.load_ematrix(path).n == 2
+        assert parses == [path.read_bytes()]
+
+    def test_written_counterexample(self, tmp_path, parses):
+        ring = [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]]
+        family = build_counterexample(CounterexampleSpec(EMatrix(4, ring), geometric_alphas(20)))
+        path = tmp_path / "family.json"
+        io.save_family(path, family)
+        loaded, names = io.load_family(path)
+        assert names == ["X1", "X2", "X3", "X4"]
+        assert [m.dim for m in loaded.members] == [20] * 4
+        assert parses == [path.read_bytes()]
