@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import BOUNDARY_BAND, EMatrix, spectral_radius
+from .criterion import BOUNDARY_BAND, EMatrix, _eigenpairs, spectral_radius
 from .errors import NotBoundary, NotPositiveDefinite, NumericalError, VerificationFailed
 from .subspaces import SubspaceFamily, _checked_cosines, _stacked_members
 
@@ -57,7 +57,6 @@ class CounterexampleSpec:
                 f"spectral radius {r:.12g} exceeds 1; rescaling entries by 1/r",
                 stacklevel=2,
             )
-        # spectral_radius reads w[-1] of the same eigh(E) as build_counterexample
         entries = self.e.entries / r
         while spectral_radius(e := EMatrix(self.e.n, entries)) > 1.0:
             entries = np.nextafter(entries, 0.0)
@@ -109,9 +108,10 @@ def principal_eigenvector(e: EMatrix) -> np.ndarray:
     """Unit vector c with E c = c, for a boundary matrix.
 
     Sign convention: the first coordinate of magnitude above 1e-12 is
-    positive.
+    positive.  The eigenpair comes from ``_eigenpairs``, which checks it
+    against E's scale before the tighter residual check here.
     """
-    w, u = np.linalg.eigh(e.entries)
+    w, u = _eigenpairs(e)
     r = float(w[-1])
     if abs(r - 1.0) > BOUNDARY_BAND:
         raise NotBoundary(f"spectral radius {r:.12g} is not 1 within tolerance")
@@ -135,12 +135,14 @@ def gram_vectors(e: EMatrix, alpha) -> np.ndarray:
     (deterministic; any factor with unit columns would do).  Pairwise
     inner products are -alpha*e_ij, and the vectors are independent: the
     Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  A sequence
-    of K alphas gives the (K, n, n) stack, all from one eigh(E).
+    of K alphas gives the (K, n, n) stack, all from the one checked
+    eigendecomposition of E (``_eigenpairs``), whose top eigenvalue is
+    the radius ``CounterexampleSpec`` steps down to at most 1.
     """
     alphas = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    w, u = np.linalg.eigh(e.entries)
+    w, u = _eigenpairs(e)
     lam = 1.0 - alphas[..., None] * w
     if lam.min() <= 0.0:
         raise NotPositiveDefinite(

@@ -118,8 +118,9 @@ def _cosine_matrix(f: SubspaceFamily, g: np.ndarray) -> EMatrix:
     the vector norm in the last bits.
     """
     dims = np.array([m.dim for m in f.members])
-    ks = sorted(set(dims.tolist()))  # np.unique imports numpy.ma, +1.7 MB RSS
-    groups = [np.flatnonzero(dims == k) for k in ks]
+    # np.unique without return_inverse imports numpy.ma, +1.7 MB RSS
+    ks, kinds = np.unique(dims, return_inverse=True)
+    groups = [np.flatnonzero(kinds == a) for a in range(ks.size)]
     # row q of coords[a] holds the columns of S that member groups[a][q] spans
     starts = np.cumsum(dims) - dims
     coords = [starts[ga][:, None] + np.arange(k) for ga, k in zip(groups, ks)]
@@ -162,14 +163,17 @@ def e_matrix_with_bounds(f: SubspaceFamily, bounds) -> EMatrix:
     return e
 
 
-def spectral_radius(e: EMatrix) -> float:
-    """Largest eigenvalue of E, which equals its spectral radius.
+def _eigenpairs(e: EMatrix):
+    """The eigenvalues w, ascending, and eigenvectors v of E, top pair checked.
 
-    The returned eigenpair is residual-checked against the matrix.  A
-    radius beyond the largest double raises NumericalError.
-    ``CounterexampleSpec`` relies on this being ``np.linalg.eigh`` of
-    ``e.entries``: switched to ``eigvalsh``, it could leave the
-    counterexample build's top eigenvalue above 1 at K = 53.
+    The package's only eigendecomposition of E, by ``eigh``.  The
+    criterion reads r(E) as ``w[-1]``; the counterexample construction
+    builds its blocks from all of (w, v) and takes its Perron vector from
+    ``v[:, -1]``.  So the radius that ``CounterexampleSpec`` steps down to
+    at most 1 is the eigenvalue the blocks are built from: a radius from
+    another solver (``eigvalsh``) could leave it above 1 at K = 53.  A top
+    eigenvalue beyond the largest double, or a top pair whose residual
+    exceeds 1e-10 * n * (largest entry), raises NumericalError.
     """
     w, v = np.linalg.eigh(e.entries)
     lam = float(w[-1])
@@ -187,7 +191,15 @@ def spectral_radius(e: EMatrix) -> float:
         raise NumericalError(
             f"eigenpair residual {resid:.3e} out of tolerance"
         )
-    return lam
+    return w, v
+
+
+def spectral_radius(e: EMatrix) -> float:
+    """Largest eigenvalue of E, which equals its spectral radius.
+
+    Read from ``_eigenpairs``, which checks it and its eigenvector.
+    """
+    return float(_eigenpairs(e)[0][-1])
 
 
 def _minors_and_pivots(e: EMatrix):

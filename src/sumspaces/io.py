@@ -107,18 +107,16 @@ def _family_arrays(doc, may_hold_bools):
 def _member_vectors(idx, entry, d, may_hold_bools):
     """The name and the (m, d) vector array of family entry ``idx``.
 
-    A name that is not a string is taken as ``str`` gives it.  orjson
-    parses nesting of any depth, but ``str`` of a list nested about a
-    thousand deep raises RecursionError, which makes the entry invalid.
-    Entries that are not finite are rejected, though orjson gives none:
-    the check is on input from outside the program.
+    A ``name``, when present, must be a JSON string; without one the
+    entry is named ``X<idx + 1>``.  Entries that are not finite are
+    rejected, though orjson gives none: the check is on input from
+    outside the program.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"subspace entry {idx} must be a JSON object")
-    try:
-        name = str(entry.get("name", f"X{idx + 1}"))
-    except RecursionError:
-        raise ValueError(f"subspace entry {idx}: name is nested too deeply") from None
+    name = entry.get("name", f"X{idx + 1}")
+    if not isinstance(name, str):
+        raise ValueError(f"subspace entry {idx}: name must be a JSON string")
     vectors = entry.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"subspace {name!r} needs at least one vector")
@@ -155,12 +153,15 @@ def _orthonormalized(arrays, names):
 def save_family(path, family: SubspaceFamily, names=None):
     """Write a family file; basis columns become row vectors.
 
-    ``names`` holds one name per member, ``X1``, ``X2``, ... by default;
-    names of another count raise ValueError before the file is opened.
+    ``names`` holds one ``str`` per member, ``X1``, ``X2``, ... by
+    default; names of another count or type raise ValueError before the
+    file is opened.
     """
     names = [f"X{i + 1}" for i in range(family.n)] if names is None else list(names)
     if len(names) != family.n:
         raise ValueError(f"got {len(names)} names for {family.n} members")
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError("every name must be a str")
     doc = {
         "ambient_dim": family.ambient_dim,
         "subspaces": [
@@ -445,10 +446,10 @@ def _row_texts(*arrays):
     from its entries: a run starts at every row start and wherever an
     entry differs from its left neighbour, so no run spans two rows.
     Entries are compared as int64 bits, so ``-0.0`` and ``0.0`` (and NaNs
-    with different payloads) stay apart.  The bits of the first entries
-    of the runs of all the arrays are sorted once, and the distinct bit
-    patterns are formatted together by one ``orjson.dumps``, about 14
-    times as fast as ``json.dumps``.  orjson's text of a float is repr's,
+    with different payloads) stay apart.  The distinct bit patterns among
+    the first entries of the runs of all the arrays are found by one
+    ``np.unique`` and formatted together by one ``orjson.dumps``, about
+    14 times as fast as ``json.dumps``.  orjson's text of a float is repr's,
     and so the C encoder's, at ``0.0`` and ``-0.0`` and wherever repr
     writes no exponent, ``1e-4 <= |x| < 1e16``; the other values (``1e-05``,
     ``1e+16``, ``NaN``, ``Infinity``), which orjson writes as ``0.00001``,
@@ -469,16 +470,10 @@ def _row_texts(*arrays):
     cuts = np.cumsum([bits.size for bits, _, _ in plans])[:-1]
     heads = np.concatenate([bits for bits, _, _ in plans])
     plans = [(lengths, counts) for _, lengths, counts in plans]
-    order = np.argsort(heads)
-    ranked = heads[order]
-    new = np.empty(ranked.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     # slots[i] is the place of head i's bits among the distinct ones
-    slots = np.empty(order.size, dtype=np.intp)
-    slots[order] = np.cumsum(new) - 1
-    values = ranked[new].view(np.float64)
-    del heads, order, ranked, new
+    values, slots = np.unique(heads, return_inverse=True)
+    values = values.view(np.float64)
+    del heads
     # each value's text and ", ": orjson's "[a,b]" becomes "a, \nb, ", split
     # at "\n"; with no values that would give one text, ", ", not none
     texts = []

@@ -183,8 +183,7 @@ def orthonormalize_all(raws) -> list:
         if m <= d:
             # an overflowed Gram matrix is not the identity: the SVD runs
             with np.errstate(over="ignore", invalid="ignore"):
-                gram = stack.transpose(0, 2, 1) @ stack
-                need = ~(np.abs(gram - np.eye(m)).max(axis=(1, 2)) <= 1e-12)
+                need = ~(_gram_drift(stack) <= 1e-12)
             if not need.any():
                 continue
         u, s, _ = np.linalg.svd(

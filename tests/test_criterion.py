@@ -16,7 +16,9 @@ from sumspaces import (
     build_e_matrix,
     e_matrix_with_bounds,
     evaluate_criterion,
+    gram_vectors,
     leading_minors,
+    principal_eigenvector,
     restricted_norm,
     spectral_radius,
     three_subspace_angle_test,
@@ -52,17 +54,17 @@ def assert_minors_match_oracle(e):
     np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0)
 
 
-def one_row_perturbed(eigh):
-    """``np.linalg.eigh`` with row 0 of the eigenvectors moved by 0.1.
+def one_row_perturbed(eigh, shift=0.1):
+    """``np.linalg.eigh`` with row 0 of the eigenvectors moved by ``shift``.
 
-    No returned column is an eigenvector any more, so every residual check
-    on an eigenpair must fail.
+    At the default shift no returned column is an eigenvector any more,
+    so every residual check on an eigenpair must fail.
     """
 
     def perturbed(a):
         w, u = eigh(a)
         u = u.copy()
-        u[0] += 0.1
+        u[0] += shift
         return w, u
 
     return perturbed
@@ -230,11 +232,17 @@ class TestSpectralRadius:
         with pytest.raises(NumericalError, match="overflows"):
             spectral_radius(e)
 
-    def test_wrong_eigenpair_raises(self, monkeypatch):
+    # every reader of E's eigendecomposition gets the same checked pairs
+    @pytest.mark.parametrize(
+        "reader",
+        [spectral_radius, principal_eigenvector, lambda e: gram_vectors(e, 0.5)],
+        ids=["spectral_radius", "principal_eigenvector", "gram_vectors"],
+    )
+    def test_wrong_eigenpair_raises(self, monkeypatch, reader):
         monkeypatch.setattr(np.linalg, "eigh", one_row_perturbed(np.linalg.eigh))
         e = EMatrix(3, 0.3 * (np.ones((3, 3)) - np.eye(3)))
         with pytest.raises(NumericalError, match="eigenpair residual"):
-            spectral_radius(e)
+            reader(e)
 
     def test_against_power_iteration_oracle(self):
         rng = np.random.default_rng(20)

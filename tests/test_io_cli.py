@@ -102,13 +102,19 @@ class TestFamilyFiles:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
-        "names", [["A"], ["A", "B", "C", "D"]], ids=["short", "long"]
+        "names, message",
+        [
+            (["A"], "got 1 names for 3 members"),
+            (["A", "B", "C", "D"], "got 4 names for 3 members"),
+            (["A", 7, "C"], "every name must be a str"),
+        ],
+        ids=["short", "long", "not-str"],
     )
-    def test_name_count_must_match_the_members(self, tmp_path, names):
+    def test_names_must_match_the_members(self, tmp_path, names, message):
         rng = np.random.default_rng(11)
         f = SubspaceFamily(4, tuple(random_subspace(rng, 4, 1) for _ in range(3)))
         path = tmp_path / "family.json"
-        with pytest.raises(ValueError, match=f"got {len(names)} names for 3 members"):
+        with pytest.raises(ValueError, match=message):
             io.save_family(path, f, names=names)
         assert not path.exists()
 

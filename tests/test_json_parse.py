@@ -227,6 +227,7 @@ NUMBERS = [
     "-9223372036854775809", "18446744073709551616", "123456789012345678901",
 ]
 DEEP = "[" * 100_000 + "]" * 100_000
+NOT_STRINGS = ["null", "true", "1e300", "[1]"]
 FAMILY_CORPUS = {
     **{f"vectors-{x}": FAMILY % ("2", '"A"', x) for x in NUMBERS},
     **{f"ambient_dim-{x}": FAMILY % (x, '"A"', "1.0") for x in NUMBERS[5:]},
@@ -239,6 +240,8 @@ FAMILY_CORPUS = {
     "nested-100": FAMILY[:-1] % ("2", '"A"', "1.0") + ', "x": ' + "[" * 100 + "]" * 100 + "}",
     "nested-2000": FAMILY[:-1] % ("2", '"A"', "1.0") + ', "x": ' + "[" * 2000 + "]" * 2000 + "}",
     "rank-deficient": FAMILY.replace("[[%s, 0.5]]", "[[%s, 0.5], [2.0, 1.0]]") % ("2", '"A"', "1.0"),
+    **{f"name-{x}": FAMILY % ("2", x, "1.0") for x in NOT_STRINGS},
+    "name-nested-2000": FAMILY % ("2", "[" * 2000 + "]" * 2000, "1.0"),
 }
 MATRIX_CORPUS = {
     **{f"entries-{x}": MATRIX % ("2", x, x) for x in NUMBERS},
@@ -293,6 +296,10 @@ FAMILY_OUTCOMES = {
         FAMILY_CORPUS["rank-deficient"],
         ["subspace 'A': numerical rank 1 is below the 2 supplied vectors"],
     ),
+    **{
+        f"name-{x}": re.escape("subspace entry 0: name must be a JSON string")
+        for x in [*NOT_STRINGS, "nested-2000"]
+    },
 }
 MATRIX_OUTCOMES = {
     "entries-NaN": not_json("matrix", 28),
@@ -395,7 +402,7 @@ class TestOneParse:
             (FAMILY % ("2", '"A"', "12345678901234567890"), None),
             (FAMILY % ("2", '"A"', "1e300"), None),
             (FAMILY[:-1] % ("2", '"A"', "1.0") + ', "note": "x"}', None),
-            (FAMILY % ("2", "7", "1.0"), None),
+            (FAMILY % ("2", "7", "1.0"), "subspace entry 0: name must be a JSON string"),
         ],
         ids=["NaN", "12345678901234567890", "1e300-entry", "extra-key", "numeric-name"],
     )

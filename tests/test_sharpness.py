@@ -95,9 +95,11 @@ class TestPrincipalEigenvector:
             principal_eigenvector(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]))
 
     def test_wrong_eigenvector_raises(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", one_row_perturbed(np.linalg.eigh))
-        with pytest.raises(NumericalError, match="eigenvector residual"):
-            principal_eigenvector(EMatrix(2, [[0.0, 1.0], [1.0, 0.0]]))
+        # a residual of 2e-9 * sqrt(1.5) passes the shared eigenpair bound,
+        # 1e-10 * n * 0.5 = 5e-9, and fails this function's own 1e-9
+        monkeypatch.setattr(np.linalg, "eigh", one_row_perturbed(np.linalg.eigh, 2e-9))
+        with pytest.raises(NumericalError, match="eigenvector residual 2.449e-09"):
+            principal_eigenvector(ring(100, 0.5))
 
 
 class TestGramVectors:
