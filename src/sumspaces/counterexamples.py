@@ -89,10 +89,12 @@ class CounterexampleVerification:
     degenerating frame bound, while ``sigma_min`` > 0 confirms the
     truncation itself is linearly independent.  ``sigma_min`` is the
     least singular value of the sum operator S.  All are read from the K
-    diagonal n x n blocks of S, so a family without the block layout of
-    the fifth check is not measured: its record has no pairs, no
-    residuals and None for both singular values.  That check has no field
-    of its own and shows only as ``passed`` and the failure message.
+    diagonal n x n blocks of S, n and K being the spec's, so a family
+    without the block layout of the fifth check (another member count,
+    another block count, or an entry off the blocks) is not measured: its
+    record has no pairs, no residuals and None for both singular values.
+    That check has no field of its own and shows only as ``passed`` and
+    the failure message.
     """
 
     pairs: tuple
@@ -188,17 +190,15 @@ def verify_counterexample(
     """Check a family against the identities its spec defines.
 
     Verifies (e) S is block diagonal: the family has n members of
-    dimension K in R^(n*K) (n and K taken from the family) and column k
-    of every member lies on coordinates [k*n, (k+1)*n); (a) the family
-    has one member per row of the spec's matrix and measured pairwise
-    cosines equal alpha_K * e_ij (compared over the members both have);
-    (b) there is one block per alpha and, when the member counts match,
-    the squared norm of V_k c is 1 - alpha_k (compared over the blocks
-    both have), c = ``principal_eigenvector(spec.e)``; (c) the squared
-    least singular value of the concatenated-basis operator S is at most
-    1 - alpha_K; and (d) it is still positive.  V_k is the k-th diagonal
-    n x n block of S, cut from the member bases.  Every cross-Gram block
-    B_i'B_j is diagonal with entries (V_k'V_k)_ij, so the cosines are
+    dimension K in R^(n*K), n being the number of rows of the spec's
+    matrix and K its number of alphas, and column k of every member lies
+    on coordinates [k*n, (k+1)*n); (a) the measured pairwise cosines
+    equal alpha_K * e_ij; (b) the squared norm of V_k c is 1 - alpha_k,
+    c = ``principal_eigenvector(spec.e)``; (c) the squared least singular
+    value of the concatenated-basis operator S is at most 1 - alpha_K;
+    and (d) it is still positive.  V_k is the k-th diagonal n x n block
+    of S, cut from the member bases.  Every cross-Gram block B_i'B_j is
+    diagonal with entries (V_k'V_k)_ij, so the cosines are
     max_k |(V_k'V_k)_ij| from one batched product and the singular
     values come from one batched SVD of the blocks: neither S nor its
     nK x nK Gram matrix is formed.  A family that fails (e) is not
@@ -207,11 +207,11 @@ def verify_counterexample(
     (e), (a), (b), (c), (d); the exception carries the full record.
     """
     e = spec.e
-    n = e.n
+    n, big_k = e.n, spec.K
     alpha_max = spec.alphas[-1]
     limit = 1.0 - alpha_max
 
-    blocks = _diagonal_blocks(family)
+    blocks = _diagonal_blocks(family, n, big_k)
     if blocks is None:
         record = CounterexampleVerification(
             pairs=(), combination_residuals=(), sigma_min=None, sigma_min_sq=None,
@@ -219,17 +219,13 @@ def verify_counterexample(
         )
         raise VerificationFailed(
             f"sum operator of {family.n} members in R^{family.ambient_dim} "
-            "is not block diagonal: column k of every member must lie on "
-            "coordinates [k*n, (k+1)*n) of R^(n*K)",
+            f"is not block diagonal with n = {n} and K = {big_k}: the family "
+            "must have n members of dimension K in R^(n*K), and column k of "
+            "every member must lie on coordinates [k*n, (k+1)*n)",
             record=record,
         )
 
-    failures = []
-    if family.n != n:
-        failures.append(
-            f"family has {family.n} members but the spec's matrix has {n} rows"
-        )
-    rows, cols = np.triu_indices(min(n, family.n), 1)
+    rows, cols = np.triu_indices(n, 1)
     grams = blocks.transpose(0, 2, 1) @ blocks
     measured = _checked_cosines(np.abs(grams[:, rows, cols]).max(axis=0))
     target = alpha_max * e.entries[rows, cols]
@@ -239,26 +235,20 @@ def verify_counterexample(
             rows.tolist(), cols.tolist(), measured.tolist(), target.tolist()
         )
     ]
-    failures += [
+    failures = [
         f"pair ({p.i},{p.j}): measured cosine {p.measured} vs target {p.target}"
         for p in pairs
         if abs(p.measured - p.target) > 1e-9
     ]
 
-    big_k = len(blocks)
-    if big_k != spec.K:
-        failures.append(f"family has {big_k} blocks but the spec has {spec.K} alphas")
-    combo_residuals = []
-    if family.n == n:
-        alphas = spec.alphas[:big_k]
-        c = principal_eigenvector(e)
-        norms_sq = np.sum((blocks[:len(alphas)] @ c) ** 2, axis=-1)
-        combo_residuals = np.abs(norms_sq - (1.0 - np.array(alphas))).tolist()
-        failures += [
-            f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
-            for k, (alpha, resid) in enumerate(zip(alphas, combo_residuals))
-            if resid > 1e-10
-        ]
+    c = principal_eigenvector(e)
+    norms_sq = np.sum((blocks @ c) ** 2, axis=-1)
+    combo_residuals = np.abs(norms_sq - (1.0 - np.array(spec.alphas))).tolist()
+    failures += [
+        f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
+        for k, (alpha, resid) in enumerate(zip(spec.alphas, combo_residuals))
+        if resid > 1e-10
+    ]
 
     sigma_min = float(np.linalg.svd(blocks, compute_uv=False).min())
     sigma_min_sq = sigma_min ** 2
@@ -284,19 +274,22 @@ def verify_counterexample(
     return record
 
 
-def _diagonal_blocks(family):
+def _diagonal_blocks(family, n, big_k):
     """The K diagonal n x n blocks of the family's sum operator, or None.
 
-    When column k of every member lies on coordinates [k*n, (k+1)*n), the
-    sum operator S is block diagonal up to a column permutation, and
-    block k is the n x n matrix V_k whose column i is member i's block-k
-    vector.  Returns them as one (K, n, n) array, stacked from the member
-    bases without forming S.  Returns None when the family is not n
-    members of dimension K in R^(n*K), or when a basis entry lies
-    outside the blocks.
+    When the family has n members of dimension K in R^(n*K) and column k
+    of every member lies on coordinates [k*n, (k+1)*n), the sum operator
+    S is block diagonal up to a column permutation, and block k is the
+    n x n matrix V_k whose column i is member i's block-k vector.
+    Returns them as one (K, n, n) array, stacked from the member bases
+    without forming S.  Returns None for a family of another shape, or
+    when a basis entry lies outside the blocks.
     """
-    n, big_k = family.n, family.members[0].dim
-    if family.ambient_dim != n * big_k or any(m.dim != big_k for m in family.members):
+    if (
+        family.n != n
+        or family.ambient_dim != n * big_k
+        or any(m.dim != big_k for m in family.members)
+    ):
         return None
     # basis[k*n + j, k] of member i is coordinate j of its block-k vector,
     # which lands at blocks[k, j, i]

@@ -2,7 +2,8 @@
 
 Family files carry spanning sets as row vectors; they are orthonormalized
 on load, so hand-written files need not be orthonormal.  The loader
-validates the members one by one, then orthonormalizes them in one batch
+validates the members one by one, raising at the first invalid one before
+anything is orthonormalized, then orthonormalizes them in one batch
 per spanning-set shape (one stacked Gram test and one stacked SVD), so a
 family of 300 lines takes one SVD, not 300, and the members are views of
 one checked stack per basis shape.  An input file is read once: the
@@ -63,28 +64,35 @@ def load_family(path):
     """Read a family file; returns (SubspaceFamily, member names).
 
     Each entry's vectors are treated as a spanning set.  Every entry is
-    validated first, in order; then all are orthonormalized together, in
-    one batch per shape (``orthonormalize_all``), and a warning is
-    emitted, in order, for each whose numerical rank falls short of the
-    number of supplied vectors.  When an entry is invalid, the entries
-    before it are orthonormalized and warned about before the error is
-    raised, so the warnings come first, as they would one entry at a time.
+    validated first, in order, and the first invalid one raises before
+    anything is orthonormalized or warned about.  Then all are
+    orthonormalized together, in one batch per shape
+    (``orthonormalize_all``); an all-zero spanning set raises
+    AllZeroInput naming its member, before any warning.  Last, a warning
+    is emitted, in member order, for each entry whose numerical rank falls
+    short of the number of supplied vectors.
     """
-    d, arrays, names, error = _read_object(path, "family", _family_arrays)
-    members = _orthonormalized(arrays, names)
-    if error is not None:
-        raise error
+    d, arrays, names = _read_object(path, "family", _family_arrays)
+    try:
+        members = orthonormalize_all([arr.T for arr in arrays])
+    except AllZeroInput as exc:
+        raise AllZeroInput(f"subspace {names[exc.index]!r}: {exc}", exc.index) from None
+    for name, arr, sub in zip(names, arrays, members):
+        if sub.dim < arr.shape[0]:
+            warnings.warn(
+                f"subspace {name!r}: numerical rank {sub.dim} is below the "
+                f"{arr.shape[0]} supplied vectors",
+                stacklevel=2,
+            )
     return SubspaceFamily(d, tuple(members)), names
 
 
 def _family_arrays(doc, may_hold_bools):
-    """The family document's dimension, vector arrays, names and first invalid entry.
+    """The family document's dimension, vector arrays and member names.
 
-    The entries are validated in order up to the first invalid one, whose
-    ValueError is returned with the arrays and names before it, so that
-    ``load_family`` warns about those before it raises.  Each entry's
-    lists are freed once converted, so the document shrinks as the arrays
-    grow.
+    The entries are validated in order, and the first invalid one raises
+    its ValueError.  Each entry's lists are freed once converted, so the
+    document shrinks as the arrays grow.
     """
     d = _integer_field(doc, "ambient_dim", "family")
     entries = doc.get("subspaces")
@@ -94,14 +102,11 @@ def _family_arrays(doc, may_hold_bools):
         raise ValueError("subspaces must be a non-empty list")
     arrays, names = [], []
     for idx, entry in enumerate(entries):
-        try:
-            name, arr = _member_vectors(idx, entry, d, may_hold_bools)
-        except ValueError as exc:
-            return d, arrays, names, exc
+        name, arr = _member_vectors(idx, entry, d, may_hold_bools)
         entries[idx] = None  # free the member's lists
         arrays.append(arr)
         names.append(name)
-    return d, arrays, names, None
+    return d, arrays, names
 
 
 def _member_vectors(idx, entry, d, may_hold_bools):
@@ -126,28 +131,6 @@ def _member_vectors(idx, entry, d, may_hold_bools):
     if not np.isfinite(arr).all():
         raise ValueError(f"subspace {name!r}: vectors must be finite")
     return name, arr
-
-
-def _orthonormalized(arrays, names):
-    """Subspaces spanned by the rows of each array, with a warning per rank deficit.
-
-    An all-zero array raises AllZeroInput naming its member, after the
-    warnings of the members before it.
-    """
-    try:
-        members = orthonormalize_all([arr.T for arr in arrays])
-    except AllZeroInput as exc:
-        first = exc.index
-        _orthonormalized(arrays[:first], names[:first])
-        raise AllZeroInput(f"subspace {names[first]!r}: {exc}", first) from None
-    for name, arr, sub in zip(names, arrays, members):
-        if sub.dim < arr.shape[0]:
-            warnings.warn(
-                f"subspace {name!r}: numerical rank {sub.dim} is below the "
-                f"{arr.shape[0]} supplied vectors",
-                stacklevel=3,
-            )
-    return members
 
 
 def save_family(path, family: SubspaceFamily, names=None):

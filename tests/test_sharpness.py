@@ -73,6 +73,15 @@ def measured_pairs(record):
     return np.array([p.measured for p in record.pairs])
 
 
+def assert_empty_record(record, spec):
+    """The record of a family that failed verification unmeasured."""
+    assert (record.pairs, record.combination_residuals) == ((), ())
+    assert record.sigma_min is None and record.sigma_min_sq is None
+    assert not record.linearly_independent and not record.passed
+    assert record.degeneration_limit == 1.0 - spec.alphas[-1]
+    json.dumps(vars(record), allow_nan=False)
+
+
 class TestPrincipalEigenvector:
     def test_swap_matrix(self):
         c = principal_eigenvector(EMatrix(2, [[0.0, 1.0], [1.0, 0.0]]))
@@ -318,7 +327,7 @@ class TestBuildCounterexample:
         # the Gram factors of all K blocks share one eigh(E)
         assert shapes == [(n, n)]
         monkeypatch.undo()
-        blocks = counterexamples._diagonal_blocks(family)
+        blocks = counterexamples._diagonal_blocks(family, n, big_k)
         assert np.array_equal(blocks, gram_vectors(spec.e, spec.alphas))
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan], ids=["off-norm", "nan"])
@@ -406,13 +415,11 @@ class TestVerifyCounterexample:
     def test_member_count_mismatch_fails_with_record(self, built, checked):
         family = build_counterexample(CounterexampleSpec(all_equal_boundary(built), (0.5,)))
         spec = CounterexampleSpec(all_equal_boundary(checked), (0.5,))
-        mismatch = f"{built} members .* {checked} rows"
+        mismatch = f"{built} members .* not block diagonal with n = {checked} and K = 1"
         with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
             verify_counterexample(family, spec)
-        record = exc_info.value.record
-        assert not record.passed
-        assert len(record.pairs) == 1  # the one pair both sizes have
-        assert record.combination_residuals == ()  # (b) needs one c_i per member
+        # another member count fails unmeasured, as an off-layout family does
+        assert_empty_record(exc_info.value.record, spec)
 
     def test_spliced_family_fails_the_combination_check(self):
         # the pairs use alpha_K alone, so only (b) sees the middle block
@@ -489,12 +496,7 @@ class TestBlockSingularValues:
         with pytest.raises(VerificationFailed, match=r"\[k\*n, \(k\+1\)\*n\)") as exc_info:
             verify_counterexample(altered, spec)
         assert "not block diagonal" in str(exc_info.value)
-        record = exc_info.value.record
-        assert (record.pairs, record.combination_residuals) == ((), ())
-        assert record.sigma_min is None and record.sigma_min_sq is None
-        assert not record.linearly_independent and not record.passed
-        assert record.degeneration_limit == 1.0 - spec.alphas[-1]
-        json.dumps(vars(record), allow_nan=False)
+        assert_empty_record(exc_info.value.record, spec)
 
     def test_no_svd_of_the_whole_operator(self, monkeypatch):
         n, big_k = 16, 40
@@ -582,22 +584,19 @@ class TestCombinationResiduals:
     @pytest.mark.parametrize("held", [2, 4])
     def test_block_count_mismatch_fails_with_record(self, held):
         # the longer schedule is the shorter one plus an alpha 2^-40 above
-        # its last, so the pair cosines agree to within tolerance and the
-        # block count is the first check to fail
+        # its last, so the pair cosines agree to within tolerance and only
+        # the block count tells the family from the spec
         e = EMatrix(2, [[0, 1], [1, 0]])
         shorter = geometric_alphas(min(held, 3))
         longer = shorter + (shorter[-1] + 2.0**-40,)
         built, checked = (shorter, longer) if held == 2 else (longer, shorter)
         spec = CounterexampleSpec(e, checked)
         family = build_counterexample(CounterexampleSpec(e, built))
-        mismatch = f"{held} blocks .* 3 alphas"
+        mismatch = rf"in R\^{2 * held} is not block diagonal with n = 2 and K = 3"
         with pytest.raises(VerificationFailed, match=mismatch) as exc_info:
             verify_counterexample(family, spec)
-        record = exc_info.value.record
-        assert not record.passed
-        # the residuals of the blocks that both sides have
-        expected = verify_counterexample(build_counterexample(spec), spec)
-        assert record.combination_residuals == expected.combination_residuals[:held]
+        # another block count fails unmeasured, as an off-layout family does
+        assert_empty_record(exc_info.value.record, spec)
 
 
 class TestStackedMembers:
