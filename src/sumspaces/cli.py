@@ -17,7 +17,6 @@ is printed as one ``notice:`` line.
 """
 
 import argparse
-import functools
 import sys
 import warnings
 
@@ -45,9 +44,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@functools.cache
 def _parser():
-    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="sumspaces",
         description="Spectral test, projection iteration and boundary "
