@@ -29,10 +29,10 @@ class CounterexampleSpec:
     """Input to the construction: boundary matrix plus block schedule.
 
     Every accepted matrix is divided by its spectral radius r (with a
-    warning when r is above the boundary band), then stepped down one ulp
-    at a time while its computed top eigenvalue exceeds 1, so I - alpha*E
-    is positive definite for every alpha < 1.  A radius below the band is
-    rejected, as the criterion then holds.  ``input_radius`` is r.
+    warning when r is above the boundary band), so its top eigenvalue is
+    1 up to rounding, which ``gram_vectors`` reads as exactly 1.  A
+    radius below the band is rejected, as the criterion then holds.
+    ``input_radius`` is r.
     """
 
     e: EMatrix
@@ -57,10 +57,7 @@ class CounterexampleSpec:
                 f"spectral radius {r:.12g} exceeds 1; rescaling entries by 1/r",
                 stacklevel=2,
             )
-        entries = self.e.entries / r
-        while spectral_radius(e := EMatrix(self.e.n, entries)) > 1.0:
-            entries = np.nextafter(entries, 0.0)
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", EMatrix(self.e.n, self.e.entries / r))
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -136,15 +133,19 @@ def gram_vectors(e: EMatrix, alpha) -> np.ndarray:
     U diag(sqrt(1 - alpha*w)) U' of I - alpha*E, where E = U diag(w) U'
     (deterministic; any factor with unit columns would do).  Pairwise
     inner products are -alpha*e_ij, and the vectors are independent: the
-    Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  A sequence
-    of K alphas gives the (K, n, n) stack, all from the one checked
-    eigendecomposition of E (``_eigenpairs``), whose top eigenvalue is
-    the radius ``CounterexampleSpec`` steps down to at most 1.
+    Gram matrix's least eigenvalue is 1 - alpha * r(E) > 0.  An
+    eigenvalue w within GRAM_TOL / 100 of 1 is taken as exactly 1, which
+    moves V'V by at most 1% of its residual tolerance, so on a boundary
+    matrix the least eigenvalue is exactly 1 - alpha (a reducible E has
+    it more than once), positive for every alpha < 1.  A sequence of K
+    alphas gives the (K, n, n) stack, all from the one checked
+    eigendecomposition of E (``_eigenpairs``).
     """
     alphas = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     w, u = _eigenpairs(e)
+    w = np.where(np.abs(w - 1.0) <= GRAM_TOL / 100, 1.0, w)
     lam = 1.0 - alphas[..., None] * w
     if lam.min() <= 0.0:
         raise NotPositiveDefinite(

@@ -169,11 +169,10 @@ def _eigenpairs(e: EMatrix):
     The package's only eigendecomposition of E, by ``eigh``.  The
     criterion reads r(E) as ``w[-1]``; the counterexample construction
     builds its blocks from all of (w, v) and takes its Perron vector from
-    ``v[:, -1]``.  So the radius that ``CounterexampleSpec`` steps down to
-    at most 1 is the eigenvalue the blocks are built from: a radius from
-    another solver (``eigvalsh``) could leave it above 1 at K = 53.  A top
-    eigenvalue beyond the largest double, or a top pair whose residual
-    exceeds 1e-10 * n * (largest entry), raises NumericalError.
+    ``v[:, -1]``.  The blocks need no radius exact to the ulp at K = 53:
+    ``gram_vectors`` reads every eigenvalue within 1e-12 of 1 as exactly
+    1.  A top eigenvalue beyond the largest double, or a top pair whose
+    residual exceeds 1e-10 * n * (largest entry), raises NumericalError.
     """
     w, v = np.linalg.eigh(e.entries)
     lam = float(w[-1])

@@ -442,7 +442,7 @@ def _row_texts(*arrays):
     the number of runs, not of entries, and the formatting with the
     number of distinct values.  A counterexample family is mostly long
     runs of ``0.0``: the 16-member ring with 40 blocks has 11,488 runs in
-    409,600 entries, whose first entries take 8,471 distinct values, 150
+    409,600 entries, whose first entries take 8,019 distinct values, 152
     of them below 1e-4.  Every array is checked and cut into runs before
     this returns; the iterator then holds the distinct texts and a few
     integers per run, and makes the row texts of one array at a time.

@@ -471,13 +471,13 @@ class TestArrayWriter:
         monkeypatch.setattr(io.json, "dumps", spy(json.dumps, by_json))
         io.save_family(tmp_path / "ring.json", family)
         monkeypatch.undo()
-        # 11,488 runs of equal entries, whose first entries hold 8,471 values
-        assert len(by_orjson) == 8471
-        assert len(set(np.array(by_orjson).view(np.int64).tolist())) == 8471
+        # 11,488 runs of equal entries, whose first entries hold 8,019 values
+        assert len(by_orjson) == 8019
+        assert len(set(np.array(by_orjson).view(np.int64).tolist())) == 8019
         # json.dumps formats again just those whose repr has an exponent:
-        # the 150 below 1e-4
+        # the 152 below 1e-4
         exponents = [x for x in by_orjson if not math.isfinite(x) or "e" in repr(x)]
-        assert len(exponents) == 150
+        assert len(exponents) == 152
         assert np.array(by_json).view(np.int64).tolist() == (
             np.array(exponents).view(np.int64).tolist()
         )
@@ -917,6 +917,32 @@ class TestCounterexampleCommand:
         )
         assert code == 0
         assert json.loads(verify.read_text())["alphas"] == [0.5, 0.75, 0.875]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_three_eigendecompositions_whatever_the_seed(
+        self, monkeypatch, tmp_path, seed
+    ):
+        # the benchmark's permuted 16-node ring
+        perm = np.random.default_rng(seed).permutation(16)
+        entries = ring_matrix(16)[np.ix_(perm, perm)].tolist()
+        epath = self.write_ematrix(tmp_path / "e.json", entries)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        code = main(
+            ["counterexample", str(epath), "--blocks", "40",
+             "--out", str(tmp_path / "family.json"),
+             "--verify", str(tmp_path / "verify.json")]
+        )
+        assert code == 0
+        # the spec's radius of the input, then the build's and the
+        # verifier's decompositions of the rescaled matrix
+        assert calls == [(16, 16)] * 3
 
     def test_radius_above_one_rescales_with_notice(self, tmp_path, capsys):
         entries = (np.ones((3, 3)) - np.eye(3)).tolist()  # r = 2

@@ -51,8 +51,9 @@ def random_boundary(seed, n):
     return EMatrix(n, e.entries / spectral_radius(e))
 
 
-# r = sqrt(2); divided by r alone, its computed radius stayed a rounding
-# above 1, which left I - alpha_K*E indefinite at K = 52 and 53
+# r = sqrt(2); divided by r, its computed radius stays a rounding above 1,
+# which would leave I - alpha_K*E indefinite at K = 52 and 53 were it not
+# read as exactly 1
 STAR = EMatrix(
     4,
     [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
@@ -201,7 +202,7 @@ class TestCounterexampleSpec:
         spec = CounterexampleSpec(e, geometric_alphas(53))
         assert spec.input_radius == pytest.approx(radius, abs=1e-15)
         assert spec.e.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
-        assert spectral_radius(spec.e) <= 1.0
+        assert spectral_radius(spec.e) == pytest.approx(1.0, abs=1e-12)
         assert verify_counterexample(build_counterexample(spec), spec).passed
 
     def test_rejects_bad_alphas(self):
@@ -221,7 +222,7 @@ class TestEveryBlockCount:
     def test_rescaled_star(self, big_k):
         with pytest.warns(UserWarning, match="rescaling"):
             spec = CounterexampleSpec(STAR, geometric_alphas(big_k))
-        assert spectral_radius(spec.e) <= 1.0
+        assert spectral_radius(spec.e) == pytest.approx(1.0, abs=1e-12)
         assert verify_counterexample(build_counterexample(spec), spec).passed
 
     def test_seeded_sweep(self):
@@ -232,7 +233,7 @@ class TestEveryBlockCount:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 spec = CounterexampleSpec(e, geometric_alphas(53))
-            assert spectral_radius(spec.e) <= 1.0, seed
+            assert spectral_radius(spec.e) == pytest.approx(1.0, abs=1e-12), seed
             assert verify_counterexample(build_counterexample(spec), spec).passed, seed
 
     @settings(max_examples=60, deadline=None)
@@ -248,7 +249,51 @@ class TestEveryBlockCount:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = CounterexampleSpec(e, geometric_alphas(53))
-        assert spectral_radius(spec.e) <= 1.0
+        assert spectral_radius(spec.e) == pytest.approx(1.0, abs=1e-12)
+        assert verify_counterexample(build_counterexample(spec), spec).passed
+
+
+def block_diagonal(*entries):
+    """EMatrix with the given square blocks on its diagonal, zero elsewhere."""
+    sizes = [len(a) for a in entries]
+    out = np.zeros((sum(sizes), sum(sizes)))
+    for start, a in zip(np.cumsum([0] + sizes), entries):
+        out[start:start + len(a), start:start + len(a)] = a
+    return EMatrix(len(out), out)
+
+
+PAIR = [[0.0, 1.0], [1.0, 0.0]]
+
+
+class TestBoundaryWitness:
+    """sigma_min(S)^2 is 1 - alpha_K: each block's boundary eigenvalue is exact."""
+
+    @pytest.mark.parametrize(
+        "e",
+        [ring(16, 0.5), permuted_ring_boundary(16, 1), permuted_ring_boundary(16, 3),
+         ring(4, 0.5), EMatrix(2, PAIR)],
+        ids=["ring-16", "ring-16-seed-1", "ring-16-seed-3", "ring-4", "pair"],
+    )
+    def test_sigma_min_sq_meets_its_target_at_53_blocks(self, e):
+        spec = CounterexampleSpec(e, geometric_alphas(53))
+        record = verify_counterexample(build_counterexample(spec), spec)
+        assert record.degeneration_limit == 2.0**-53
+        assert record.sigma_min_sq / record.degeneration_limit == pytest.approx(
+            1.0, abs=1e-6
+        )
+
+    @pytest.mark.parametrize("big_k", [20, 53])
+    @pytest.mark.parametrize(
+        "e",
+        [block_diagonal(ring(4, 0.5).entries, ring(6, 0.5).entries)]
+        + [block_diagonal(PAIR, (1.0 - delta) * np.array(PAIR))
+           for delta in (9e-10, 5e-10, 1e-11)],
+        ids=["rings-4-and-6", "pair-9e-10", "pair-5e-10", "pair-1e-11"],
+    )
+    def test_reducible_and_near_reducible_matrices_build(self, e, big_k):
+        # two eigenvalues at 1, or a second one inside the boundary band
+        # below it; only an eigenvalue within 1e-12 of 1 is read as 1
+        spec = CounterexampleSpec(e, geometric_alphas(big_k))
         assert verify_counterexample(build_counterexample(spec), spec).passed
 
 
