@@ -196,13 +196,15 @@ def verify_counterexample(
     on coordinates [k*n, (k+1)*n); (a) the measured pairwise cosines
     equal alpha_K * e_ij; (b) the squared norm of V_k c is 1 - alpha_k,
     c = ``principal_eigenvector(spec.e)``; (c) the squared least singular
-    value of the concatenated-basis operator S is at most 1 - alpha_K;
-    and (d) it is still positive.  V_k is the k-th diagonal n x n block
-    of S, cut from the member bases.  Every cross-Gram block B_i'B_j is
-    diagonal with entries (V_k'V_k)_ij, so the cosines are
-    max_k |(V_k'V_k)_ij| from one batched product and the singular
-    values come from one batched SVD of the blocks: neither S nor its
-    nK x nK Gram matrix is formed.  A family that fails (e) is not
+    value of the concatenated-basis operator S is at most 1 - alpha_K,
+    relative to within 1e-6 and beyond that by at most delta *
+    (2 sigma_min + delta), where delta = n * eps * sigma_max bounds the
+    SVD's error in each singular value; and (d) it is still positive.
+    V_k is the k-th diagonal n x n block of S, cut from the member bases.
+    Every cross-Gram block B_i'B_j is diagonal with entries
+    (V_k'V_k)_ij, so the cosines are max_k |(V_k'V_k)_ij| from one
+    batched product and the singular values come from one batched SVD of
+    the blocks: neither S nor its nK x nK Gram matrix is formed.  A family that fails (e) is not
     measured (see ``CounterexampleVerification``).  Raises
     VerificationFailed naming the first violated check, in the order
     (e), (a), (b), (c), (d); the exception carries the full record.
@@ -251,9 +253,12 @@ def verify_counterexample(
         if resid > 1e-10
     ]
 
-    sigma_min = float(np.linalg.svd(blocks, compute_uv=False).min())
+    singular = np.linalg.svd(blocks, compute_uv=False)
+    sigma_min = float(singular.min())
     sigma_min_sq = sigma_min ** 2
-    if sigma_min_sq > limit + 1e-9:
+    # the SVD's error bound on each singular value, and so on sigma_min^2
+    delta = n * np.finfo(float).eps * float(singular.max())
+    if sigma_min_sq > limit * (1.0 + 1e-6) + delta * (2.0 * sigma_min + delta):
         failures.append(
             f"sigma_min^2 = {sigma_min_sq} exceeds the degeneration limit {limit}"
         )

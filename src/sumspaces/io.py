@@ -14,26 +14,24 @@ the standard library's parser.  Only JSON (RFC 8259) is accepted:
 ``NaN``, ``Infinity``, a number too large for a double (``1e400``), a
 lone surrogate escape and a byte order mark are not valid JSON, and the
 error gives orjson's message with its line and column.  Integer literals
-outside ``[-2**63, 2**64)`` are read as the nearest double.  Floats are
-written with Python's shortest round-trip representation, which is
-lossless at double precision, so writing a family and re-reading it
-reproduces identical numbers.  Every JSON output goes through one writer
-that puts one vector or matrix row per line: a counterexample family file
-is about a third of the size of a fully indented one, with the same
-numbers.  Families and cosine matrices reach the writer as float arrays,
-whose rows are assembled from runs of equal neighbours, a run of n equal
-entries being its text repeated n times: a counterexample family is
-almost all ``0.0`` in long runs, so it costs Python work per run, not per
-entry.  The runs of all the arrays of a document (all the members of a
-family) are found first, and each distinct value among their first
-entries is formatted once: all of them by one ``orjson.dumps``, and then
-those whose repr has an exponent or is not finite (``1e-05``, ``1e+16``,
-``NaN``), which orjson writes otherwise, again by one ``json.dumps``.
-The rows are then made and written one member at a time.
+outside ``[-2**63, 2**64)`` are read as the nearest double.
+
+Every JSON output is written by orjson, as UTF-8 bytes; a report sent
+to standard output is written as the decoded text.  Reports and
+cosine-matrix files are indented by two spaces, one value per line.  A
+family file holds one member per line, each the compact text of
+``{"name": ..., "vectors": [[...], ...]}``, made from that member's
+contiguous row-vector copy alone.  Floats are written in their shortest
+round-trip form (``1e-7``, ``0.0000123``), which reads back to the same
+bits, so writing a family and re-reading it reproduces identical
+numbers; CSV numbers are written by ``repr``.  orjson writes NaN and the
+infinities as ``null``: no array the package writes can hold one, and of
+the report fields only the leading minors of a failing family, which are
+determinants, could overflow, and an overflowed minor would read
+``null``.
 """
 
 import hashlib
-import json
 import os
 import secrets
 import stat
@@ -41,7 +39,6 @@ import sys
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import islice, repeat
 
 import numpy as np
 import orjson
@@ -52,8 +49,9 @@ from .iteration import ConvergenceReport
 from .errors import AllZeroInput
 from .subspaces import SubspaceFamily, orthonormalize_all
 
-# JSON containers; a container holding none of these is written on one line.
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+# Reports and cosine-matrix files: two-space indents, arrays as nested
+# lists, a final newline
+_INDENTED = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 # The path a loader read last and the SHA-256 of the bytes read (None when
 # it was not a regular file); report_metadata takes the digest from here.
@@ -134,26 +132,33 @@ def _member_vectors(idx, entry, d, may_hold_bools):
 
 
 def save_family(path, family: SubspaceFamily, names=None):
-    """Write a family file; basis columns become row vectors.
+    """Write a family file, one member per line; basis columns become row vectors.
 
     ``names`` holds one ``str`` per member, ``X1``, ``X2``, ... by
-    default; names of another count or type raise ValueError before the
-    file is opened.
+    default; names of another count or type, or that are not valid
+    UTF-8 (a lone surrogate), raise ValueError before the file is opened.
+    Each member's line is made from a C-contiguous copy of its
+    ``basis.T``, so only one member's copy and text exist at a time.
     """
     names = [f"X{i + 1}" for i in range(family.n)] if names is None else list(names)
     if len(names) != family.n:
         raise ValueError(f"got {len(names)} names for {family.n} members")
     if not all(isinstance(name, str) for name in names):
         raise ValueError("every name must be a str")
-    doc = {
-        "ambient_dim": family.ambient_dim,
-        "subspaces": [
-            {"name": name, "vectors": member.basis.T}
-            for name, member in zip(names, family.members)
-        ],
-    }
-    with open(path, "w") as fh:
-        _write_json(fh, doc)
+    try:
+        orjson.dumps(names)
+    except TypeError as exc:
+        raise ValueError(f"every name must be valid UTF-8: {exc}") from None
+    with open(path, "wb") as fh:
+        fh.write(b'{\n  "ambient_dim": %d,\n  "subspaces": [' % family.ambient_dim)
+        sep = b"\n    "
+        for name, member in zip(names, family.members):
+            vectors = np.ascontiguousarray(member.basis.T)
+            fh.write(sep)
+            member_doc = {"name": name, "vectors": vectors}
+            fh.write(orjson.dumps(member_doc, option=orjson.OPT_SERIALIZE_NUMPY))
+            sep = b",\n    "
+        fh.write(b"\n  ]\n}\n")
 
 
 def load_ematrix(path) -> EMatrix:
@@ -169,7 +174,7 @@ def _matrix(doc, may_hold_bools):
 
 
 def save_ematrix(path, e: EMatrix):
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_json(fh, {"n": e.n, "entries": e.entries})
 
 
@@ -221,9 +226,9 @@ def report_metadata(input_path) -> dict:
 def write_report(path_or_none, doc: dict):
     """Write a report to a file, or to standard output when no path is given."""
     if path_or_none is None:
-        _write_json(sys.stdout, doc)
+        sys.stdout.write(orjson.dumps(doc, option=_INDENTED).decode())
     else:
-        with open(path_or_none, "w") as fh:
+        with open(path_or_none, "wb") as fh:
             _write_json(fh, doc)
 
 
@@ -352,156 +357,5 @@ def _number_array(value, what, may_hold_bools):
 
 
 def _write_json(fh, doc):
-    """Stream ``doc`` to an open text handle as JSON plus a newline.
-
-    Containers that hold containers are indented by two spaces, one member
-    per line; a container with no nested container (a vector, a matrix
-    row, a convergence step) is written on one line by ``json.dumps``,
-    which takes the C encoder.  A 2-D float64 array is written as its
-    ``tolist()`` would be, byte for byte, one row per line, but each row
-    is joined from its runs of equal entries (see ``_row_texts``), so a
-    family file holds one vector per line and no Python float is made per
-    entry.  The arrays of the whole document go to one ``_row_texts``
-    call before anything is written, so a value that recurs across them
-    (across the members of a family) is formatted once, by orjson or,
-    where its repr has an exponent or is not finite, by ``json.dumps``,
-    and an array that cannot be written raises before the output is
-    begun.  A document with no array (a report) formats nothing there.
-    Keys must be strings, as in every document the package writes.  The
-    output is written container by container; building the whole string
-    first would hold a second copy of a large family in memory.
-    """
-    _write_value(fh, doc, "\n", _row_texts(*_arrays_in(doc)))
-    fh.write("\n")
-
-
-def _arrays_in(value):
-    """The arrays in ``value``, in the order ``_write_value`` meets them."""
-    if isinstance(value, np.ndarray):
-        return [value]
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return []
-    return [a for v in value if isinstance(v, _CONTAINERS) for a in _arrays_in(v)]
-
-
-def _write_value(fh, value, newline, rows):
-    """Write one JSON value; ``newline`` is a line break plus its indentation.
-
-    ``rows`` yields the row texts of the arrays in ``value``, in order.
-    """
-    inner = newline + "  "
-    if isinstance(value, np.ndarray):
-        texts = next(rows)
-        if not texts:
-            fh.write("[]")
-            return
-        # three writes: one string would copy the member's rows once more
-        fh.write("[" + inner)
-        fh.write(("," + inner).join(texts))
-        fh.write(newline + "]")
-        return
-    if isinstance(value, dict):
-        children, brackets = value.values(), "{}"
-        heads = (json.dumps(key) + ": " for key in value)
-    elif isinstance(value, (list, tuple)):
-        children, brackets, heads = value, "[]", repeat("")
-    else:
-        children = ()
-    # one test per distinct item type, not per item: rows hold only floats
-    if not any(issubclass(t, _CONTAINERS) for t in {*map(type, children)}):
-        fh.write(json.dumps(value))
-        return
-    sep = brackets[0] + inner
-    for head, child in zip(heads, children):
-        fh.write(sep + head)
-        _write_value(fh, child, inner, rows)
-        sep = "," + inner
-    fh.write(newline + brackets[1])
-
-
-def _row_texts(*arrays):
-    """``json.dumps(row)`` for each row of ``a.tolist()``, for each 2-D float64 ``a``.
-
-    Returns an iterator that gives one list of row texts per array, in
-    order.  Each row is assembled from its runs of equal entries, not
-    from its entries: a run starts at every row start and wherever an
-    entry differs from its left neighbour, so no run spans two rows.
-    Entries are compared as int64 bits, so ``-0.0`` and ``0.0`` (and NaNs
-    with different payloads) stay apart.  The distinct bit patterns among
-    the first entries of the runs of all the arrays are found by one
-    ``np.unique`` and formatted together by one ``orjson.dumps``, about
-    14 times as fast as ``json.dumps``.  orjson's text of a float is repr's,
-    and so the C encoder's, at ``0.0`` and ``-0.0`` and wherever repr
-    writes no exponent, ``1e-4 <= |x| < 1e16``; the other values (``1e-05``,
-    ``1e+16``, ``NaN``, ``Infinity``), which orjson writes as ``0.00001``,
-    ``1e16`` and ``null``, are formatted again by one ``json.dumps``.  A
-    run of length L becomes ``(text + ", ") * L``, and each row joins its
-    runs and drops the last ``", "``, so the Python-level work grows with
-    the number of runs, not of entries, and the formatting with the
-    number of distinct values.  A counterexample family is mostly long
-    runs of ``0.0``: the 16-member ring with 40 blocks has 11,488 runs in
-    409,600 entries, whose first entries take 8,019 distinct values, 152
-    of them below 1e-4.  Every array is checked and cut into runs before
-    this returns; the iterator then holds the distinct texts and a few
-    integers per run, and makes the row texts of one array at a time.
-    """
-    if not arrays:
-        return iter(())
-    plans = [_runs(a) for a in arrays]
-    cuts = np.cumsum([bits.size for bits, _, _ in plans])[:-1]
-    heads = np.concatenate([bits for bits, _, _ in plans])
-    plans = [(lengths, counts) for _, lengths, counts in plans]
-    # slots[i] is the place of head i's bits among the distinct ones
-    values, slots = np.unique(heads, return_inverse=True)
-    values = values.view(np.float64)
-    del heads
-    # each value's text and ", ": orjson's "[a,b]" becomes "a, \nb, ", split
-    # at "\n"; with no values that would give one text, ", ", not none
-    texts = []
-    if values.size:
-        texts = (
-            orjson.dumps(values.tolist()).decode()[1:-1].replace(",", ", \n") + ", "
-        ).split("\n")
-    # orjson's text is repr's at +-0.0 and 1e-4 <= |x| < 1e16 only
-    magnitudes = np.abs(values)
-    others = np.flatnonzero(~((magnitudes >= 1e-4) & (magnitudes < 1e16)) & (values != 0))
-    fixed = json.dumps(values[others].tolist())[1:-1].split(", ")
-    for i, text in zip(others.tolist(), fixed):
-        texts[i] = text + ", "
-    return (
-        _joined_rows(texts, runs, lengths, counts)
-        for runs, (lengths, counts) in zip(np.split(slots, cuts), plans)
-    )
-
-
-def _runs(a):
-    """The runs of equal entries in the rows of the 2-D float64 ``a``.
-
-    Returns the int64 bits of each run's first entry and each run's
-    length, runs in row-major order, and the number of runs in each row.
-    A transposed array is read where it lies, not copied.
-    """
-    if a.ndim != 2 or a.dtype != np.float64:
-        raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array as JSON")
-    bits = a.view(np.int64)
-    head = np.empty(a.shape, dtype=bool)
-    head[:, :1] = True
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
-    lengths = np.diff(np.flatnonzero(head), append=a.size)
-    return bits[head], lengths, np.count_nonzero(head, axis=1)
-
-
-def _joined_rows(texts, slots, lengths, counts):
-    """One array's row texts; its run k is ``texts[slots[k]] * lengths[k]``.
-
-    Row r joins the next ``counts[r]`` runs, so only one row's runs are
-    held at a time.
-    """
-    runs = zip(slots.tolist(), lengths.tolist())
-    rows = (
-        "".join([texts[i] * n for i, n in islice(runs, count)])
-        for count in counts.tolist()
-    )
-    return ["[" + row[:-2] + "]" for row in rows]
+    """Write ``doc`` to an open binary handle as indented JSON plus a newline."""
+    fh.write(orjson.dumps(doc, option=_INDENTED))

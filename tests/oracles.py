@@ -8,9 +8,6 @@ against.  ``svd_cosine_matrix`` takes one SVD per pair of members, the
 path ``build_e_matrix`` leaves for pairs of lines.
 ``per_member_basis`` orthonormalizes one spanning set with its own 2-D
 Gram test and SVD, as ``orthonormalize`` did before it was batched.
-``encoded_rows`` formats every entry of an array with ``json.dumps``,
-where the writer's ``_row_texts`` formats each distinct value of its
-runs once, with orjson where orjson's text is the same.
 
 The d x d operators of the paper's iteration live here too, and nowhere
 in the package: ``projection_matrix`` (one member's P_i),
@@ -20,8 +17,6 @@ I - (I - A)^N, walked by successive multiplication).  Each costs O(d^2)
 memory and the iterate O(N d^3) time, so they serve as references on
 small families only.
 """
-
-import json
 
 import numpy as np
 
@@ -97,11 +92,6 @@ def per_member_basis(raw):
             return raw
     u, s, _ = np.linalg.svd(raw, full_matrices=False)
     return u[:, : np.count_nonzero(s > RANK_RTOL * s[0])]
-
-
-def encoded_rows(a):
-    """The encoder's text of each row of the 2-D array ``a``."""
-    return [json.dumps(row) for row in a.tolist()]
 
 
 def _outer(q):

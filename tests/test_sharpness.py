@@ -478,6 +478,21 @@ class TestVerifyCounterexample:
         assert all(abs(p.measured - p.target) <= 1e-9 for p in record.pairs)
         assert [r > 1e-10 for r in record.combination_residuals] == [False, True, False]
 
+    def test_sigma_min_sq_above_a_tiny_limit_fails(self):
+        # the last block at 1 - 1.5 * 2^-40: sigma_min^2 is 1.5 times the
+        # limit 2^-40, far below any absolute tolerance, and the pairs and
+        # combination norms are within theirs
+        alphas = geometric_alphas(40)
+        spec = CounterexampleSpec(ring(16, 0.5), alphas)
+        family = build_counterexample(
+            CounterexampleSpec(ring(16, 0.5), (*alphas[:-1], 1.0 - 1.5 * 2.0**-40))
+        )
+        with pytest.raises(VerificationFailed, match="^sigma_min\\^2 = ") as exc_info:
+            verify_counterexample(family, spec)
+        record = exc_info.value.record
+        assert record.sigma_min_sq / record.degeneration_limit == pytest.approx(1.5)
+        assert not record.passed
+
     def test_zero_singular_value_fails_independence(self, monkeypatch):
         spec = CounterexampleSpec(all_equal_boundary(2), geometric_alphas(3))
         family = build_counterexample(spec)
