@@ -23,26 +23,20 @@ from .errors import (
     NumericalError,
     SumspacesError,
     VerificationFailed,
-    WrongArity,
 )
 from .subspaces import (
     Subspace,
     SubspaceFamily,
-    minimal_angle,
     orthonormalize,
     orthonormalize_all,
-    restricted_norm,
     sum_operator,
 )
 from .criterion import (
     CriterionReport,
     EMatrix,
     build_e_matrix,
-    e_matrix_with_bounds,
     evaluate_criterion,
-    leading_minors,
     spectral_radius,
-    three_subspace_angle_test,
 )
 from .iteration import (
     ConvergenceReport,
@@ -71,22 +65,16 @@ __all__ = [
     "NumericalError",
     "SumspacesError",
     "VerificationFailed",
-    "WrongArity",
     "Subspace",
     "SubspaceFamily",
-    "minimal_angle",
     "orthonormalize",
     "orthonormalize_all",
-    "restricted_norm",
     "sum_operator",
     "CriterionReport",
     "EMatrix",
     "build_e_matrix",
-    "e_matrix_with_bounds",
     "evaluate_criterion",
-    "leading_minors",
     "spectral_radius",
-    "three_subspace_angle_test",
     "ConvergenceReport",
     "ConvergenceStep",
     "convergence_report",

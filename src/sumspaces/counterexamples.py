@@ -83,7 +83,8 @@ class CounterexampleVerification:
     squared norm of the c-weighted combination of the family's block-k
     vectors from 1 - alpha_k.  ``sigma_min_sq`` at most
     ``degeneration_limit`` (= 1 - alpha_K, up to tolerance) exhibits the
-    degenerating frame bound, while ``sigma_min`` > 0 confirms the
+    degenerating frame bound, while ``linearly_independent``, set when
+    ``sigma_min`` lies above the SVD's error bound on it, confirms the
     truncation itself is linearly independent.  ``sigma_min`` is the
     least singular value of the sum operator S.  All are read from the K
     diagonal n x n blocks of S, n and K being the spec's, so a family
@@ -194,12 +195,16 @@ def verify_counterexample(
     dimension K in R^(n*K), n being the number of rows of the spec's
     matrix and K its number of alphas, and column k of every member lies
     on coordinates [k*n, (k+1)*n); (a) the measured pairwise cosines
-    equal alpha_K * e_ij; (b) the squared norm of V_k c is 1 - alpha_k,
-    c = ``principal_eigenvector(spec.e)``; (c) the squared least singular
+    equal alpha_K * e_ij; (b) the squared norm of V_k c is
+    beta_k = 1 - alpha_k, c = ``principal_eigenvector(spec.e)``, relative
+    to within 1e-6 and beyond that by at most delta_k *
+    (2 |V_k c| + delta_k), where delta_k = n * eps * sigma_max(V_k)
+    bounds the rounding error of the norm; (c) the squared least singular
     value of the concatenated-basis operator S is at most 1 - alpha_K,
     relative to within 1e-6 and beyond that by at most delta *
-    (2 sigma_min + delta), where delta = n * eps * sigma_max bounds the
-    SVD's error in each singular value; and (d) it is still positive.
+    (2 sigma_min + delta), where delta = n * eps * sigma_max, the largest
+    delta_k, bounds the SVD's error in each singular value; and (d)
+    sigma_min is above delta, so it is not zero within that error.
     V_k is the k-th diagonal n x n block of S, cut from the member bases.
     Every cross-Gram block B_i'B_j is diagonal with entries
     (V_k'V_k)_ij, so the cosines are max_k |(V_k'V_k)_ij| from one
@@ -244,31 +249,39 @@ def verify_counterexample(
         if abs(p.measured - p.target) > 1e-9
     ]
 
+    # n * eps * sigma_max(V_k) bounds the rounding error of a norm of
+    # block k's vectors, and the largest bounds the SVD's error in every
+    # singular value of S
+    singular = np.linalg.svd(blocks, compute_uv=False)
+    deltas = n * np.finfo(float).eps * singular[:, 0]
+
     c = principal_eigenvector(e)
     norms_sq = np.sum((blocks @ c) ** 2, axis=-1)
-    combo_residuals = np.abs(norms_sq - (1.0 - np.array(spec.alphas))).tolist()
+    betas = 1.0 - np.array(spec.alphas)
+    residuals = np.abs(norms_sq - betas)
+    tols = 1e-6 * betas + deltas * (2.0 * np.sqrt(norms_sq) + deltas)
     failures += [
-        f"block {k}: combination norm^2 off by {resid:.3e} from {1.0 - alpha}"
-        for k, (alpha, resid) in enumerate(zip(spec.alphas, combo_residuals))
-        if resid > 1e-10
+        f"block {k}: combination norm^2 off by {residuals[k]:.3e} from {betas[k]}"
+        for k in np.flatnonzero(residuals > tols)
     ]
 
-    singular = np.linalg.svd(blocks, compute_uv=False)
     sigma_min = float(singular.min())
     sigma_min_sq = sigma_min ** 2
-    # the SVD's error bound on each singular value, and so on sigma_min^2
-    delta = n * np.finfo(float).eps * float(singular.max())
+    delta = float(deltas.max())
     if sigma_min_sq > limit * (1.0 + 1e-6) + delta * (2.0 * sigma_min + delta):
         failures.append(
             f"sigma_min^2 = {sigma_min_sq} exceeds the degeneration limit {limit}"
         )
-    independent = sigma_min > 0.0
+    independent = sigma_min > delta
     if not independent:
-        failures.append("sigma_min is not positive: truncation is not independent")
+        failures.append(
+            f"sigma_min = {sigma_min} is not above its error bound {delta}: "
+            "the truncation is not shown independent"
+        )
 
     record = CounterexampleVerification(
         pairs=tuple(pairs),
-        combination_residuals=tuple(combo_residuals),
+        combination_residuals=tuple(residuals.tolist()),
         sigma_min=sigma_min,
         sigma_min_sq=sigma_min_sq,
         degeneration_limit=limit,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, NumericalError, WrongArity
+from .errors import InconsistencyError, NumericalError
 from .subspaces import SubspaceFamily, _checked_cosines, _frozen_array, sum_operator
 
 # |r(E) - 1| at or below this counts as the boundary: the criterion is
@@ -79,8 +79,10 @@ class CriterionReport:
     ``satisfied`` is True only when the spectral radius is below 1 and
     outside the boundary band; on the band ``boundary`` is set and the
     test is conservatively reported as failed.  ``margin`` is
-    1 - spectral_radius.  ``angle_sum`` is filled only for three
-    subspaces with all cosines at most 1.
+    1 - spectral_radius.  ``leading_minors`` holds the leading principal
+    minors of I - E for orders 1..n.  ``angle_sum`` is the sum of the
+    three pairwise minimal angles, filled only for three subspaces with
+    all cosines at most 1; the angle-sum test reads ``angle_sum > pi``.
     """
 
     spectral_radius: float
@@ -144,25 +146,6 @@ def _cosine_matrix(f: SubspaceFamily, g: np.ndarray) -> EMatrix:
     return EMatrix(f.n, entries + entries.T)
 
 
-def e_matrix_with_bounds(f: SubspaceFamily, bounds) -> EMatrix:
-    """EMatrix from user-supplied upper bounds on the angle cosines.
-
-    Any entrywise upper bound of the measured cosines is a valid input to
-    the criterion; looser bounds only weaken it.  Entries below the
-    measured value (beyond 1e-9) are rejected.
-    """
-    e = EMatrix(f.n, bounds)
-    measured = build_e_matrix(f)
-    deficit = measured.entries - e.entries
-    if deficit.max() > 1e-9:
-        i, j = np.unravel_index(np.argmax(deficit), deficit.shape)
-        raise ValueError(
-            f"bound at ({i},{j}) is {e.entries[i, j]}, below the measured "
-            f"cosine {measured.entries[i, j]}"
-        )
-    return e
-
-
 def _eigenpairs(e: EMatrix):
     """The eigenvalues w, ascending, and eigenvectors v of E, top pair checked.
 
@@ -217,27 +200,6 @@ def _minors_and_pivots(e: EMatrix):
         # criterion (exit 2).
         return [float(np.linalg.det(g[:m, :m])) for m in range(1, e.n + 1)], None
     return np.cumprod(pivots).tolist(), pivots
-
-
-def leading_minors(e: EMatrix):
-    """Leading principal minors of I - E, for orders 1..n.
-
-    When I - E is positive definite the minors are the running products
-    of its Cholesky pivots, one O(n^3) factorization in all.  At large n
-    they can underflow to 0.0 (on a ring with neighbour cosine 0.495 the
-    minor of order n is about 0.141^n); evaluate_criterion decides on the
-    pivots, so this does not change the verdict.
-    """
-    return _minors_and_pivots(e)[0]
-
-
-def three_subspace_angle_test(e: EMatrix) -> bool:
-    """For three subspaces: do the pairwise minimal angles sum to > pi?"""
-    if e.n != 3:
-        raise WrongArity(f"angle-sum test needs exactly 3 subspaces, got {e.n}")
-    if e.entries.max() > 1.0:
-        raise ValueError("angle-sum test needs all cosines in [0, 1]")
-    return _angle_sum(e) > np.pi
 
 
 def _angle_sum(e: EMatrix) -> float:

@@ -21,11 +21,6 @@ class DimensionMismatch(SumspacesError, ValueError):
     """Raised when objects that must share an ambient dimension do not."""
 
 
-class WrongArity(SumspacesError, ValueError):
-    """Raised when an operation defined for a fixed number of subspaces
-    receives a different count."""
-
-
 class NumericalError(SumspacesError, ArithmeticError):
     """Raised when a computed quantity violates a bound it must satisfy
     mathematically (signals broken input or a numerical bug)."""

@@ -211,22 +211,6 @@ def orthonormalize_all(raws) -> list:
     return members
 
 
-def restricted_norm(m: Subspace, n: Subspace) -> float:
-    """Operator norm of the projection onto ``m`` restricted to ``n``.
-
-    Equals the largest singular value of the cross-Gram basis_m' * basis_n,
-    i.e. the cosine of the minimal angle between the subspaces.  Symmetric
-    in its arguments.  The result is clamped to [0, 1]; an excess over 1
-    beyond NORM_EXCESS_TOL signals corrupt bases and raises NumericalError.
-    """
-    if m.ambient_dim != n.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}"
-        )
-    cross = m.basis.T @ n.basis
-    return float(_checked_cosines(np.linalg.svd(cross, compute_uv=False)[0]))
-
-
 def _checked_cosines(sigma):
     """Top cross-Gram singular values, clamped to [0, 1].
 
@@ -238,11 +222,6 @@ def _checked_cosines(sigma):
     if top > 1.0 + NORM_EXCESS_TOL:
         raise NumericalError(f"restricted norm {top} exceeds 1 beyond tolerance")
     return np.clip(sigma, 0.0, 1.0)
-
-
-def minimal_angle(m: Subspace, n: Subspace) -> float:
-    """Minimal angle between two subspaces, in [0, pi/2] radians."""
-    return float(np.arccos(restricted_norm(m, n)))
 
 
 def sum_operator(f: SubspaceFamily) -> np.ndarray:

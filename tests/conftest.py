@@ -15,6 +15,11 @@ def line_at_angle(theta):
     return line(np.cos(theta), np.sin(theta))
 
 
+def cosine(m, n):
+    """Cosine of the minimal angle between two subspaces: their entry of E."""
+    return float(build_e_matrix(SubspaceFamily(m.ambient_dim, (m, n))).entries[0, 1])
+
+
 def random_subspace(rng, d, k):
     return orthonormalize(rng.normal(size=(d, k)))
 

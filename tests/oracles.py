@@ -5,7 +5,8 @@ walked: the norm of each power ``m^N``, read from the eigenvalues of the
 symmetrized power.  The report now reads the same norms in closed form
 from one ``eigvalsh(G)``; this chain is what that closed form is checked
 against.  ``svd_cosine_matrix`` takes one SVD per pair of members, the
-path ``build_e_matrix`` leaves for pairs of lines.
+path ``build_e_matrix`` leaves for pairs of lines, and ``pair_cosine``
+takes that SVD of one pair's own cross-Gram product, without S or G.
 ``per_member_basis`` orthonormalizes one spanning set with its own 2-D
 Gram test and SVD, as ``orthonormalize`` did before it was batched.
 
@@ -75,6 +76,15 @@ def svd_cosine_matrix(f):
             block = g[np.ix_(cols[i], cols[j])]
             entries[i, j] = min(np.linalg.svd(block, compute_uv=False)[0], 1.0)
     return EMatrix(f.n, entries + entries.T)
+
+
+def pair_cosine(m, n):
+    """Cosine of the minimal angle between two subspaces, alone.
+
+    The largest singular value of the cross-Gram product B_m' B_n of the
+    two bases, capped at 1.
+    """
+    return min(float(np.linalg.svd(m.basis.T @ n.basis, compute_uv=False)[0]), 1.0)
 
 
 def per_member_basis(raw):

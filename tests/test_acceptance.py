@@ -15,15 +15,14 @@ from sumspaces import (
     EMatrix,
     SubspaceFamily,
     build_counterexample,
+    build_e_matrix,
     convergence_report,
+    evaluate_criterion,
     geometric_alphas,
     gram_vectors,
-    leading_minors,
     principal_eigenvector,
-    restricted_norm,
     spectral_radius,
     sum_operator,
-    three_subspace_angle_test,
     verify_counterexample,
 )
 from sumspaces.cli import main
@@ -79,7 +78,9 @@ def test_criterion_4_angle_symmetry():
     for _ in range(1000):
         m = random_subspace(rng, 10, int(rng.integers(1, 6)))
         n = random_subspace(rng, 10, int(rng.integers(1, 6)))
-        assert abs(restricted_norm(m, n) - restricted_norm(n, m)) <= 1e-12
+        forward = build_e_matrix(SubspaceFamily(10, (m, n))).entries[0, 1]
+        backward = build_e_matrix(SubspaceFamily(10, (n, m))).entries[0, 1]
+        assert abs(forward - backward) <= 1e-12
     print("criterion 4 (angle symmetry, 1000 pairs in R^10): PASS")
 
 
@@ -93,11 +94,12 @@ def test_criterion_5_criterion_equivalences():
         if abs(r - 1.0) <= 1e-9:
             continue
         a, b, c = e.entries[0, 1], e.entries[1, 2], e.entries[2, 0]
+        report = evaluate_criterion(e)
         verdicts = (
             r < 1.0,
-            all(m > 0.0 for m in leading_minors(e)),
+            all(m > 0.0 for m in report.leading_minors),
             a * a + b * b + c * c + 2.0 * a * b * c < 1.0,
-            three_subspace_angle_test(e),
+            report.angle_sum > np.pi,
         )
         assert len(set(verdicts)) == 1, f"formulations disagree: {verdicts} for {e.entries}"
         checked += 1

@@ -6,22 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line, line_at_angle, random_subspace
-from oracles import svd_cosine_matrix
+from oracles import pair_cosine, svd_cosine_matrix
 from sumspaces import (
     EMatrix,
     InconsistencyError,
     NumericalError,
     SubspaceFamily,
-    WrongArity,
     build_e_matrix,
-    e_matrix_with_bounds,
     evaluate_criterion,
     gram_vectors,
-    leading_minors,
     principal_eigenvector,
-    restricted_norm,
     spectral_radius,
-    three_subspace_angle_test,
 )
 from sumspaces import criterion
 
@@ -48,7 +43,7 @@ def det_minors(e):
 
 
 def assert_minors_match_oracle(e):
-    got, want = np.array(leading_minors(e)), det_minors(e)
+    got, want = np.array(evaluate_criterion(e).leading_minors), det_minors(e)
     assert got.shape == want.shape
     resolved = np.abs(want) > 1e-300
     np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0)
@@ -140,7 +135,7 @@ class TestBuildEMatrix:
         np.testing.assert_array_equal(build_e_matrix(f).entries, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_pairwise_restricted_norm(self, seed):
+    def test_matches_pairwise_cosines(self, seed):
         # mixed member dimensions, n = 1 included, and one member with k = d
         rng = np.random.default_rng(seed)
         d = int(rng.integers(3, 9))
@@ -149,7 +144,7 @@ class TestBuildEMatrix:
         f = SubspaceFamily(d, members)
         expected = np.array(
             [
-                [0.0 if i == j else restricted_norm(mi, mj) for j, mj in enumerate(members)]
+                [0.0 if i == j else pair_cosine(mi, mj) for j, mj in enumerate(members)]
                 for i, mi in enumerate(members)
             ]
         )
@@ -185,7 +180,7 @@ class TestBuildEMatrix:
         assert peak < 2 * gram_and_stack_bytes
         for i, j in [(0, 1), (0, 30), (30, 31), (29, 32), (31, 32)]:
             assert e.entries[i, j] == pytest.approx(
-                restricted_norm(members[i], members[j]), abs=1e-15
+                pair_cosine(members[i], members[j]), abs=1e-15
             )
 
     def test_corrupted_basis_raises(self):
@@ -193,21 +188,7 @@ class TestBuildEMatrix:
         x1, x2 = line(1.0, 0.0), line(1.0, 0.0)
         object.__setattr__(x2, "basis", 2.0 * x2.basis)
         with pytest.raises(NumericalError):
-            restricted_norm(x1, x2)
-        with pytest.raises(NumericalError):
             build_e_matrix(SubspaceFamily(2, (x1, x2)))
-
-
-class TestUserSuppliedBounds:
-    def test_looser_bounds_accepted(self):
-        f = SubspaceFamily(2, (line(1.0, 0.0), line_at_angle(np.pi / 3)))
-        e = e_matrix_with_bounds(f, [[0.0, 0.7], [0.7, 0.0]])
-        assert e.entries[0, 1] == 0.7
-
-    def test_bounds_below_measured_rejected(self):
-        f = SubspaceFamily(2, (line(1.0, 0.0), line_at_angle(np.pi / 3)))
-        with pytest.raises(ValueError):
-            e_matrix_with_bounds(f, [[0.0, 0.3], [0.3, 0.0]])
 
 
 class TestSpectralRadius:
@@ -254,18 +235,18 @@ class TestSpectralRadius:
 
 class TestLeadingMinors:
     def test_two_by_two(self):
-        minors = leading_minors(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]))
+        minors = evaluate_criterion(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]])).leading_minors
         np.testing.assert_allclose(minors, [1.0, 0.75], atol=1e-14)
 
     def test_three_by_three_boundary(self):
         e = EMatrix(3, 0.5 * (np.ones((3, 3)) - np.eye(3)))
-        minors = leading_minors(e)
+        minors = evaluate_criterion(e).leading_minors
         np.testing.assert_allclose(minors[:2], [1.0, 0.75], atol=1e-14)
         assert abs(minors[2]) <= 1e-12  # 1 - (3/4 + 1/4) = 0
 
     def test_zero_matrix(self):
         e = EMatrix(4, np.zeros((4, 4)))
-        np.testing.assert_array_equal(leading_minors(e), np.ones(4))
+        np.testing.assert_array_equal(evaluate_criterion(e).leading_minors, np.ones(4))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -289,7 +270,7 @@ class TestLeadingMinors:
 
     def test_indefinite_minors_come_from_det(self):
         e = EMatrix(4, 0.6 * (np.ones((4, 4)) - np.eye(4)))
-        minors = leading_minors(e)
+        minors = evaluate_criterion(e).leading_minors
         assert minors[-1] < 0.0
         np.testing.assert_array_equal(minors, det_minors(e))
 
@@ -302,33 +283,27 @@ class TestLeadingMinors:
             return det(a)
 
         monkeypatch.setattr(np.linalg, "det", spy)
-        leading_minors(ring(60))
         evaluate_criterion(ring(60))
         assert calls == []
-        leading_minors(EMatrix(2, [[0.0, 1.5], [1.5, 0.0]]))
+        evaluate_criterion(EMatrix(2, [[0.0, 1.5], [1.5, 0.0]]))
         assert calls == [(1, 1), (2, 2)]
 
 
-class TestAngleSumTest:
+class TestAngleSum:
     def test_boundary_all_half_excluded(self):
         e = EMatrix(3, 0.5 * (np.ones((3, 3)) - np.eye(3)))
-        assert three_subspace_angle_test(e) is False
+        assert not evaluate_criterion(e).angle_sum > np.pi
 
     def test_orthogonal_family(self):
-        assert three_subspace_angle_test(EMatrix(3, np.zeros((3, 3)))) is True
+        assert evaluate_criterion(EMatrix(3, np.zeros((3, 3)))).angle_sum > np.pi
 
     def test_single_coincident_pair_boundary(self):
         e = EMatrix(3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        assert three_subspace_angle_test(e) is False
+        assert not evaluate_criterion(e).angle_sum > np.pi
 
-    def test_wrong_arity(self):
-        with pytest.raises(WrongArity):
-            three_subspace_angle_test(EMatrix(2, [[0.0, 0.5], [0.5, 0.0]]))
-
-    def test_cosine_above_one_rejected(self):
+    def test_cosine_above_one_gives_no_angle_sum(self):
         e = EMatrix(3, [[0, 1.5, 0], [1.5, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            three_subspace_angle_test(e)
+        assert evaluate_criterion(e).angle_sum is None
 
 
 class TestEvaluateCriterion:

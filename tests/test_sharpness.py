@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cosine
 from oracles import svd_cosine_matrix
 from test_criterion import hollow_symmetric, one_row_perturbed, ring
 from sumspaces import (
@@ -23,7 +24,6 @@ from sumspaces import (
     gram_vectors,
     orthonormalize_all,
     principal_eigenvector,
-    restricted_norm,
     spectral_radius,
     sum_operator,
     verify_counterexample,
@@ -322,13 +322,13 @@ class TestBuildCounterexample:
         family = build_counterexample(spec)
         assert family.ambient_dim == 2
         assert family.n == 2
-        v = restricted_norm(family.members[0], family.members[1])
+        v = cosine(family.members[0], family.members[1])
         assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_three_blocks_realize_max_alpha(self):
         spec = CounterexampleSpec(all_equal_boundary(2), (0.5, 0.75, 0.875))
         family = build_counterexample(spec)
-        v = restricted_norm(family.members[0], family.members[1])
+        v = cosine(family.members[0], family.members[1])
         assert v == pytest.approx(0.875, abs=1e-12)
 
     def test_block_structure_and_gram_fidelity(self):
@@ -478,27 +478,58 @@ class TestVerifyCounterexample:
         assert all(abs(p.measured - p.target) <= 1e-9 for p in record.pairs)
         assert [r > 1e-10 for r in record.combination_residuals] == [False, True, False]
 
-    def test_sigma_min_sq_above_a_tiny_limit_fails(self):
-        # the last block at 1 - 1.5 * 2^-40: sigma_min^2 is 1.5 times the
-        # limit 2^-40, far below any absolute tolerance, and the pairs and
-        # combination norms are within theirs
-        alphas = geometric_alphas(40)
-        spec = CounterexampleSpec(ring(16, 0.5), alphas)
-        family = build_counterexample(
-            CounterexampleSpec(ring(16, 0.5), (*alphas[:-1], 1.0 - 1.5 * 2.0**-40))
-        )
+    def test_sigma_min_sq_above_a_tiny_limit_fails(self, monkeypatch):
+        # singular values read sqrt(1.5) times too large: sigma_min^2 is 1.5
+        # times the limit 2^-40, far below any absolute tolerance, while
+        # the pairs and combination norms, which take no SVD, are exact.  A
+        # family built with its last block at 1 - 1.5 * 2^-40 fails (b)
+        # first, since sigma_min^2 <= |V_K c|^2
+        spec = CounterexampleSpec(ring(16, 0.5), geometric_alphas(40))
+        family = build_counterexample(spec)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: np.sqrt(1.5) * svd(a, **kw))
         with pytest.raises(VerificationFailed, match="^sigma_min\\^2 = ") as exc_info:
             verify_counterexample(family, spec)
         record = exc_info.value.record
         assert record.sigma_min_sq / record.degeneration_limit == pytest.approx(1.5)
         assert not record.passed
 
+    def test_combination_norm_off_a_tiny_target_fails(self):
+        # block 39 at 1 - 1.5 * 2^-40: its combination norm^2 is off its
+        # target 2^-40 by 4.5e-13, below any absolute tolerance, while the
+        # pairs and sigma_min^2 read the last block, which is on schedule
+        alphas = geometric_alphas(45)
+        spec = CounterexampleSpec(ring(16, 0.5), alphas)
+        built = (*alphas[:39], 1.0 - 1.5 * 2.0**-40, *alphas[40:])
+        family = build_counterexample(CounterexampleSpec(ring(16, 0.5), built))
+        with pytest.raises(VerificationFailed, match="^block 39: ") as exc_info:
+            verify_counterexample(family, spec)
+        record = exc_info.value.record
+        assert record.combination_residuals[39] == pytest.approx(0.5 * 2.0**-40)
+        assert all(abs(p.measured - p.target) <= 1e-9 for p in record.pairs)
+        assert record.sigma_min_sq / record.degeneration_limit == pytest.approx(1.0)
+
+    def test_sigma_min_below_its_error_bound_is_not_independent(self):
+        # block 0's vectors (1, 0) and (1, 1e-17)/|.| give sigma_min about
+        # 7.1e-18, below the SVD's error bound n * eps * sigma_max = 6.3e-16
+        spec = CounterexampleSpec(EMatrix(2, PAIR), geometric_alphas(3))
+        family = build_counterexample(spec)
+        bases = [m.basis.copy() for m in family.members]
+        bases[0][:2, 0] = (1.0, 0.0)
+        bases[1][:2, 0] = np.array([1.0, 1e-17]) / np.hypot(1.0, 1e-17)
+        nearly_dependent = SubspaceFamily(6, tuple(Subspace(6, b) for b in bases))
+        with pytest.raises(VerificationFailed) as exc_info:
+            verify_counterexample(nearly_dependent, spec)
+        record = exc_info.value.record
+        assert 0.0 < record.sigma_min < 1e-17
+        assert not record.linearly_independent and not record.passed
+
     def test_zero_singular_value_fails_independence(self, monkeypatch):
         spec = CounterexampleSpec(all_equal_boundary(2), geometric_alphas(3))
         family = build_counterexample(spec)
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: 0.0 * svd(a, **kw))
-        with pytest.raises(VerificationFailed, match="sigma_min is not positive") as exc_info:
+        with pytest.raises(VerificationFailed, match="^sigma_min = 0.0 is not above") as exc_info:
             verify_counterexample(family, spec)
         record = exc_info.value.record
         assert record.sigma_min == 0.0

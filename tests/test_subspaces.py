@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line, line_at_angle, random_subspace
+from conftest import cosine, line, line_at_angle, random_subspace
 from oracles import per_member_basis, projection_matrix
 from sumspaces import (
     AllZeroInput,
     DimensionMismatch,
     Subspace,
     SubspaceFamily,
-    minimal_angle,
     orthonormalize,
     orthonormalize_all,
-    restricted_norm,
     sum_operator,
 )
 
@@ -217,25 +215,23 @@ class TestProjectionMatrix:
             np.testing.assert_allclose(p @ v, v, atol=1e-12)
 
 
-class TestRestrictedNorm:
+class TestCosine:
     def test_orthogonal_lines(self):
-        assert restricted_norm(line(1.0, 0.0), line(0.0, 1.0)) == 0.0
+        assert cosine(line(1.0, 0.0), line(0.0, 1.0)) == 0.0
 
     def test_sixty_degree_lines(self):
-        v = restricted_norm(line(1.0, 0.0), line_at_angle(np.pi / 3))
+        v = cosine(line(1.0, 0.0), line_at_angle(np.pi / 3))
         assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_lines_hit_one(self):
-        assert restricted_norm(line(3.0, 4.0), line(3.0, 4.0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert cosine(line(3.0, 4.0), line(3.0, 4.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_and_monte_carlo_oracle(self):
         rng = np.random.default_rng(123)
         m = random_subspace(rng, 8, 3)
         n = random_subspace(rng, 8, 3)
-        forward = restricted_norm(m, n)
-        backward = restricted_norm(n, m)
+        forward = cosine(m, n)
+        backward = cosine(n, m)
         assert abs(forward - backward) <= 1e-12
 
         # sup over the unit sphere of n, sampled: a lower bound tight to 1e-3
@@ -246,46 +242,26 @@ class TestRestrictedNorm:
         assert best <= forward + 1e-12
         assert forward - best <= 1e-3
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            restricted_norm(line(1.0, 0.0), line(1.0, 0.0, 0.0))
-
     def test_invariant_under_respanning(self):
         rng = np.random.default_rng(7)
         m = random_subspace(rng, 9, 3)
         n = random_subspace(rng, 9, 2)
-        reference = restricted_norm(m, n)
+        reference = cosine(m, n)
         for _ in range(5):
             mix = rng.normal(size=(3, 3))
             m2 = orthonormalize(m.basis @ mix)
-            assert abs(restricted_norm(m2, n) - reference) <= 1e-10
+            assert abs(cosine(m2, n) - reference) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10))
-def test_restricted_norm_symmetric_and_in_range(seed, d):
+def test_cosine_symmetric_and_in_range(seed, d):
     rng = np.random.default_rng(seed)
     m = random_subspace(rng, d, int(rng.integers(1, d + 1)))
     n = random_subspace(rng, d, int(rng.integers(1, d + 1)))
-    v = restricted_norm(m, n)
+    v = cosine(m, n)
     assert 0.0 <= v <= 1.0
-    assert abs(v - restricted_norm(n, m)) <= 1e-12
-
-
-class TestMinimalAngle:
-    def test_orthogonal(self):
-        assert minimal_angle(line(1.0, 0.0), line(0.0, 1.0)) == pytest.approx(
-            np.pi / 2
-        )
-
-    def test_sixty_degrees(self):
-        a = minimal_angle(line(1.0, 0.0), line_at_angle(np.pi / 3))
-        assert a == pytest.approx(np.pi / 3, abs=1e-12)
-
-    def test_identical(self):
-        assert minimal_angle(line(1.0, 2.0), line(1.0, 2.0)) == pytest.approx(
-            0.0, abs=1e-7
-        )
+    assert abs(v - cosine(n, m)) <= 1e-12
 
 
 class TestSumOperator:
