@@ -105,12 +105,15 @@ def _cmd_criterion(args) -> int:
         except CriterionNotSatisfied as exc:
             criterion = exc.report
 
-    doc = {
-        "criterion": io.criterion_section(criterion),
-        "metadata": io.report_metadata(args.family),
-    }
+    doc = {"criterion": criterion, "metadata": io.report_metadata(args.family)}
     if convergence is not None:
-        doc |= io.convergence_section(convergence)
+        doc["convergence"] = convergence.steps
+        doc["frame"] = {
+            "frame_lower": convergence.frame_lower,
+            "frame_upper": convergence.frame_upper,
+            "r": convergence.r,
+            "a_restricted_deviation": convergence.a_restricted_deviation,
+        }
     with io.staged_outputs(args.family) as stage:
         if args.report is not None:
             io.write_report(stage(args.report), doc)
@@ -152,11 +155,7 @@ def _cmd_counterexample(args) -> int:
         io.save_family(stage(args.out), family)
         if args.verify:
             doc = {
-                # asdict's document, without its deep copy of every scalar
-                "verification": {
-                    **vars(record),
-                    "pairs": [vars(pair) for pair in record.pairs],
-                },
+                "verification": record,
                 "spectral_radius_input": spec.input_radius,
                 "alphas": list(spec.alphas),
                 "metadata": io.report_metadata(args.ematrix),

@@ -213,6 +213,11 @@ def verify_counterexample(
     measured (see ``CounterexampleVerification``).  Raises
     VerificationFailed naming the first violated check, in the order
     (e), (a), (b), (c), (d); the exception carries the full record.
+    Check (c) stays beside (b) although sigma_min <= |V_K c| in exact
+    arithmetic: the computed sigma_min and |V_K c|^2 each carry their
+    own rounding bound delta, so (b) passing does not bound the computed
+    sigma_min, and (c) is the only check on the reported
+    ``sigma_min_sq`` itself.
     """
     e = spec.e
     n, big_k = e.n, spec.K

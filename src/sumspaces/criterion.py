@@ -83,14 +83,15 @@ class CriterionReport:
     minors of I - E for orders 1..n.  ``angle_sum`` is the sum of the
     three pairwise minimal angles, filled only for three subspaces with
     all cosines at most 1; the angle-sum test reads ``angle_sum > pi``.
+    A report's ``criterion`` section is this record's fields, in this order.
     """
 
     spectral_radius: float
     satisfied: bool
+    boundary: bool
+    margin: float
     leading_minors: tuple
     angle_sum: float | None
-    margin: float
-    boundary: bool
 
 
 def build_e_matrix(f: SubspaceFamily) -> EMatrix:
@@ -251,8 +252,8 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
     return CriterionReport(
         spectral_radius=r,
         satisfied=satisfied,
+        boundary=boundary,
+        margin=1.0 - r,
         leading_minors=tuple(minors),
         angle_sum=angle_sum,
-        margin=1.0 - r,
-        boundary=boundary,
     )

@@ -18,7 +18,11 @@ outside ``[-2**63, 2**64)`` are read as the nearest double.
 
 Every JSON output is written by orjson, as UTF-8 bytes; a report sent
 to standard output is written as the decoded text.  Reports and
-cosine-matrix files are indented by two spaces, one value per line.  A
+cosine-matrix files are indented by two spaces, one value per line.
+orjson writes a dataclass as its fields in declaration order, so a
+report section is its result record itself (``CriterionReport``, the
+``ConvergenceStep``s, ``CounterexampleVerification`` with its
+``PairNorm``s) and a cosine-matrix file is the ``EMatrix``.  A
 family file holds one member per line, each the compact text of
 ``{"name": ..., "vectors": [[...], ...]}``, made from that member's
 contiguous row-vector copy alone.  Floats are written in their shortest
@@ -44,7 +48,7 @@ import numpy as np
 import orjson
 
 from ._version import __version__
-from .criterion import CriterionReport, EMatrix
+from .criterion import EMatrix
 from .iteration import ConvergenceReport
 from .errors import AllZeroInput
 from .subspaces import SubspaceFamily, orthonormalize_all
@@ -175,32 +179,7 @@ def _matrix(doc, may_hold_bools):
 
 def save_ematrix(path, e: EMatrix):
     with open(path, "wb") as fh:
-        _write_json(fh, {"n": e.n, "entries": e.entries})
-
-
-def criterion_section(report: CriterionReport) -> dict:
-    return {
-        "spectral_radius": report.spectral_radius,
-        "satisfied": report.satisfied,
-        "boundary": report.boundary,
-        "margin": report.margin,
-        "leading_minors": list(report.leading_minors),
-        "angle_sum": report.angle_sum,
-    }
-
-
-def convergence_section(report: ConvergenceReport) -> dict:
-    return {
-        "convergence": [
-            {"N": s.N, "error": s.error, "bound": s.bound} for s in report.steps
-        ],
-        "frame": {
-            "frame_lower": report.frame_lower,
-            "frame_upper": report.frame_upper,
-            "r": report.r,
-            "a_restricted_deviation": report.a_restricted_deviation,
-        },
-    }
+        _write_json(fh, e)
 
 
 def report_metadata(input_path) -> dict:
