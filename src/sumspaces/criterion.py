@@ -18,12 +18,13 @@ the cosines from the K diagonal blocks of S, and a family without that
 block support fails it unmeasured.
 
 Positive definiteness is read from one Cholesky factorization
-I - E = L L', the only one per criterion evaluation.  Its pivots
-diag(L)^2 are the ratios of consecutive leading minors (Golub & Van Loan,
-Matrix Computations, sec. 4.2), so the minors are their running products.
-The cross-check decides on the pivots, not on the minors: at large n the
-reported minors can underflow to 0 while the smallest pivot stays well
-away from zero.
+I - E = L L'.  Its pivots diag(L)^2 are the ratios of consecutive leading
+minors (Golub & Van Loan, Matrix Computations, sec. 4.2), so the minors
+are their running products.  The cross-check decides on the pivots, not
+on the minors: at large n the reported minors can underflow to 0 while
+the smallest pivot stays well away from zero.  When I - E is not
+positive definite, the minors stop at the first nonpositive one, found
+by bisection on the order with Cholesky factorizations of leading blocks.
 """
 
 from dataclasses import dataclass
@@ -80,9 +81,15 @@ class CriterionReport:
     outside the boundary band; on the band ``boundary`` is set and the
     test is conservatively reported as failed.  ``margin`` is
     1 - spectral_radius.  ``leading_minors`` holds the leading principal
-    minors of I - E for orders 1..n.  ``angle_sum`` is the sum of the
-    three pairwise minimal angles, filled only for three subspaces with
-    all cosines at most 1; the angle-sum test reads ``angle_sum > pi``.
+    minors of I - E for orders 1..n when I - E is positive definite, and
+    otherwise for orders 1..m, where m is the order of the first
+    nonpositive one.  With cosines in [0, 1] (every E measured from a
+    family) each minor is finite: those of orders below m lie in (0, 1],
+    or underflow to 0 at large orders, and the one of order m lies in
+    (-e (m - 1), 1], e = 2.718... (see ``_minors_and_pivots``).
+    ``angle_sum`` is the sum of the three pairwise minimal angles, filled
+    only for three subspaces with all cosines at most 1; the angle-sum
+    test reads ``angle_sum > pi``.
     A report's ``criterion`` section is this record's fields, in this order.
     """
 
@@ -185,22 +192,55 @@ def spectral_radius(e: EMatrix) -> float:
     return float(_eigenpairs(e)[0][-1])
 
 
-def _minors_and_pivots(e: EMatrix):
-    """(leading minors of I - E, Cholesky pivots or None), one factorization.
+def _cholesky(a: np.ndarray):
+    """The Cholesky factor of ``a``, or None when ``a`` is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
-    The pivots diag(L)^2 of I - E = L L' are None when the factorization
-    finds I - E not positive definite.
+
+def _minors_and_pivots(e: EMatrix):
+    """(leading minors of I - E, Cholesky pivots or None), by Cholesky.
+
+    A positive definite I - E = L L' takes one factorization, and its
+    pivots diag(L)^2 give all n minors as their running products.  When
+    that factorization fails, the pivots are None and the minors stop at
+    the first nonpositive one, at order m: lambda_max of the leading block
+    of E never decreases with its order (Cauchy interlacing; Horn &
+    Johnson, Matrix Analysis, sec. 4.3), so no later minor bears on the
+    verdict.  m is found by bisection on the order, with at most
+    ceil(log2 n) more factorizations of leading blocks.  The minors of
+    orders 1..m-1 are the running products of the pivots of the block of
+    order m - 1, and the minor of order m is one determinant, nonpositive
+    unless it is within rounding of 0.
+
+    With every cosine in [0, 1], each minor is bounded.  A leading block
+    A_k of I - E has unit diagonal, so a positive definite one has
+    0 < det A_k <= 1 (Hadamard).  With b the cosines of member m to the
+    m - 1 before it, det A_m = det A_(m-1) - b' adj(A_(m-1)) b.  The
+    eigenvalues of adj(A_(m-1)) are products of m - 2 of the m - 1
+    positive eigenvalues of A_(m-1), which sum to m - 1, so by the AM-GM
+    inequality each is below ((m - 1)/(m - 2))^(m - 2) < e (it is 1 at
+    m = 2).  With |b|^2 <= m - 1, the minor of order m lies in
+    (-e (m - 1), 1].
     """
     g = np.eye(e.n) - e.entries
-    try:
-        pivots = np.diag(np.linalg.cholesky(g)) ** 2
-    except np.linalg.LinAlgError:
-        # Cholesky stops at the first nonpositive pivot, so the signed
-        # minors of an I - E that is not positive definite come from one
-        # determinant per order, O(n^4).  Such a family fails the
-        # criterion (exit 2).
-        return [float(np.linalg.det(g[:m, :m])) for m in range(1, e.n + 1)], None
-    return np.cumprod(pivots).tolist(), pivots
+    factor = _cholesky(g)
+    if factor is not None:
+        pivots = np.diag(factor) ** 2
+        return np.cumprod(pivots).tolist(), pivots
+    # the block of order lo factors (the empty one trivially), that of hi not
+    lo, hi, factor = 0, e.n, np.eye(0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        block = _cholesky(g[:mid, :mid])
+        if block is None:
+            hi = mid
+        else:
+            lo, factor = mid, block
+    minors = np.cumprod(np.diag(factor) ** 2).tolist()
+    return minors + [float(np.linalg.det(g[:hi, :hi]))], None
 
 
 def _angle_sum(e: EMatrix) -> float:
@@ -221,7 +261,8 @@ def evaluate_criterion(e: EMatrix) -> CriterionReport:
     and not positive definite when the factorization fails; a smallest
     pivot in (0, 1e-12] is excluded.  The reported minors play no part,
     so a minor that underflows to 0 at large n leaves the check running.
-    The minors and the pivots come from the same single factorization.
+    On a positive definite I - E the minors and the pivots come from the
+    same single factorization.
     """
     r = spectral_radius(e)
     minors, pivots = _minors_and_pivots(e)

@@ -2,10 +2,12 @@
 
 The verdict fields are the same bit for bit, and every float is within
 the a-priori bound that README's "What a report's digits depend on"
-gives for two runs.  The family is large enough for LAPACK to block
+gives for two runs.  The families are large enough for LAPACK to block
 (n = 250 members, K = 500 columns), so a multi-threaded BLAS orders its
-sums differently.  A BLAS that ignores OPENBLAS_NUM_THREADS gives two
-equal reports, which meet the same assertions.
+sums differently.  One satisfies the criterion; the other fails it, and
+its minors end at the first nonpositive one, at order 202.  A BLAS that
+ignores OPENBLAS_NUM_THREADS gives two equal reports, which meet the
+same assertions.
 """
 
 import os
@@ -23,21 +25,23 @@ EPS = np.finfo(float).eps
 D, N_MEMBERS, K = 600, 250, 500
 
 
-def write_family(path):
-    """250 perturbed orthonormal pairs in R^600, sigma = 7e-4: r(E) = 0.44."""
+def write_family(path, sigma):
+    """250 perturbed orthonormal pairs in R^600: r(E) = 0.44 at sigma = 7e-4
+    and 1.24 at sigma = 2e-3."""
     rng = np.random.default_rng(7)
-    rows = np.eye(D)[:K] + 7e-4 * rng.normal(size=(K, D))
+    rows = np.eye(D)[:K] + sigma * rng.normal(size=(K, D))
     members = [{"vectors": rows[2 * i : 2 * i + 2]} for i in range(N_MEMBERS)]
     doc = {"ambient_dim": D, "subspaces": members}
     path.write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
-def project(family, threads):
+def run(threads, *args):
+    """Exit code and report of the command line ``args`` at ``threads``."""
     src = str(Path(sumspaces.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "sumspaces.cli", "project", str(family), "--n-max", "3"],
+        [sys.executable, "-m", "sumspaces.cli", *args],
         env=env, capture_output=True, timeout=120,
     )
     assert done.stderr == b""
@@ -53,8 +57,16 @@ def power_bound(x, dx, n):
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     family = tmp_path_factory.mktemp("threads") / "family.json"
-    write_family(family)
-    return project(family, 1), project(family, 2)
+    write_family(family, 7e-4)
+    args = ("project", str(family), "--n-max", "3")
+    return run(1, *args), run(2, *args)
+
+
+@pytest.fixture(scope="module")
+def failing(tmp_path_factory):
+    family = tmp_path_factory.mktemp("threads") / "failing.json"
+    write_family(family, 2e-3)
+    return run(1, "analyze", str(family)), run(2, "analyze", str(family))
 
 
 def test_verdicts_are_bit_for_bit(reports):
@@ -64,6 +76,16 @@ def test_verdicts_are_bit_for_bit(reports):
         assert one["criterion"][key] == two["criterion"][key]
     assert len(one["criterion"]["leading_minors"]) == N_MEMBERS
     assert [s["N"] for s in one["convergence"]] == [s["N"] for s in two["convergence"]]
+
+
+def test_failing_verdicts_are_bit_for_bit(failing):
+    (code_1, one), (code_2, two) = failing
+    assert code_1 == code_2 == 2
+    c1, c2 = one["criterion"], two["criterion"]
+    for key in ("satisfied", "boundary"):
+        assert c1[key] == c2[key]
+    assert len(c1["leading_minors"]) == len(c2["leading_minors"]) < N_MEMBERS
+    assert c1["leading_minors"][-1] <= 0.0 and c2["leading_minors"][-1] <= 0.0
 
 
 def test_floats_are_within_their_bounds(reports):
